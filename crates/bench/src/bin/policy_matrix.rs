@@ -2,7 +2,7 @@
 //! replacement policy, on both the direct oracle and the single-pass
 //! engine that backs the evaluator.
 //!
-//! LRU and FIFO are single-pass native (one stack/wavetable pass answers
+//! LRU and FIFO are single-pass native (one stack/insertion-ring pass answers
 //! every associativity at once); PLRU and random fall back to an embedded
 //! grid of per-configuration direct simulations inside the same pass.
 //! This matrix makes the cost of each row visible — and sanity-checks

@@ -6,7 +6,7 @@
 //!   generic over the replacement [`Policy`];
 //! * [`single_pass::SinglePassSim`] — the Cheetah role: every configuration
 //!   sharing a line size and policy in one pass over the trace (LRU stack
-//!   distances, a FIFO wavetable, or a direct fallback grid);
+//!   distances, FIFO insertion rings, or a direct fallback grid);
 //! * [`hierarchy::Hierarchy`] — an inclusion-respecting L1I/L1D/L2 system
 //!   with a stall-cycle model.
 //!

@@ -8,13 +8,13 @@
 //! * **LRU** — Mattson stack inclusion: within a set, a reference at stack
 //!   depth `p` hits every cache of associativity `> p`, so one truncated
 //!   stack per set covers the whole associativity axis.
-//! * **FIFO** — a DEW-style insertion *wavetable* (after Haque et al.):
-//!   FIFO has no stack inclusion, but because hits never reorder the
-//!   queue, a block is resident in the associativity-`a` cache iff its
-//!   latest insertion was among the last `a` insertions into its set.
-//!   Per-`(set, assoc)` insertion-epoch counters plus a per-block record
-//!   of latest insertion epochs answer residency for every associativity
-//!   in O(max_assoc) per reference.
+//! * **FIFO** — per-`(set, assoc)` insertion queues: FIFO has no stack
+//!   inclusion, but because hits never reorder the queue, a block is
+//!   resident in the associativity-`a` cache iff it was among the last
+//!   `a` blocks inserted into its set. One ring of the last `a`
+//!   insertions per associativity answers residency for every
+//!   associativity in O(max_assoc²) compares per reference, in memory
+//!   fixed at construction (nothing grows with the trace's footprint).
 //! * **Fallback** (PLRU, random) — no single-pass formulation exists, so
 //!   the same pass feeds one direct [`crate::policy::SetEngine`] grid per
 //!   covered configuration. Costs scale with the number of configurations
@@ -29,7 +29,6 @@ use crate::config::CacheConfig;
 use crate::policy::{Policy, ReplacementPolicy, SetEngine};
 use crate::sim::MissStats;
 use mhe_trace::{Access, StreamKind};
-use std::collections::HashMap;
 
 /// Single-pass simulator for a family of configurations sharing a line
 /// size and replacement policy.
@@ -63,8 +62,8 @@ pub struct SinglePassSim {
 enum Engine {
     /// LRU stack inclusion.
     Stack(Vec<StackTable>),
-    /// FIFO insertion wavetable.
-    Wave(Vec<WaveTable>),
+    /// FIFO insertion queues.
+    Fifo(Vec<FifoTable>),
     /// Per-configuration direct simulation (PLRU, random).
     Direct(Vec<DirectTable>),
 }
@@ -79,21 +78,28 @@ struct StackTable {
     hits_at_depth: Vec<u64>,
 }
 
-/// FIFO wavetable: the associativity-`a` FIFO set holds exactly the blocks
-/// whose latest insertion was among the last `a` insertions to that set's
-/// lane `a` queue (insertions happen per lane, on that lane's misses).
+/// FIFO insertion queues: the associativity-`a` FIFO set holds exactly
+/// the last `a` blocks inserted into its lane `a` queue (insertions happen
+/// per lane, on that lane's misses).
 #[derive(Debug, Clone)]
-struct WaveTable {
+struct FifoTable {
     sets: u32,
-    /// Insertion counts, row-major `[set][lane]` where lane `l` models
+    /// Ring state, row-major `[set][lane]` where lane `l` models
     /// associativity `l + 1`.
-    epochs: Vec<u64>,
-    /// Latest insertion epoch of each block per lane; `u64::MAX` = never
-    /// inserted (or evicted long ago — staleness is harmless because the
-    /// residency window test rejects old epochs).
-    waves: HashMap<u64, Box<[u64]>>,
+    lanes: Vec<Ring>,
+    /// Per set, every lane's ring back to back: lane `l` owns `l + 1`
+    /// slots.
+    queues: Vec<u64>,
     /// `hits[l]` = hits of the associativity-`l + 1` cache.
     hits: Vec<u64>,
+}
+
+/// Where a lane's next insertion goes, and how many of its slots hold a
+/// block.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    next: u32,
+    filled: u32,
 }
 
 /// Fallback: a full grid of direct per-set engines for one set count.
@@ -108,6 +114,11 @@ struct DirectTable {
 struct DirectLane {
     engines: Vec<SetEngine>,
     misses: u64,
+}
+
+/// Queue slots per set for FIFO associativities `1..=max_assoc`.
+fn fifo_slots(max_assoc: usize) -> usize {
+    max_assoc * (max_assoc + 1) / 2
 }
 
 impl SinglePassSim {
@@ -158,13 +169,13 @@ impl SinglePassSim {
                     })
                     .collect(),
             ),
-            Policy::Fifo => Engine::Wave(
+            Policy::Fifo => Engine::Fifo(
                 counts
                     .iter()
-                    .map(|&s| WaveTable {
+                    .map(|&s| FifoTable {
                         sets: s,
-                        epochs: vec![0; s as usize * max_assoc as usize],
-                        waves: HashMap::new(),
+                        lanes: vec![Ring::default(); s as usize * max_assoc as usize],
+                        queues: vec![0; s as usize * fifo_slots(max_assoc as usize)],
                         hits: vec![0; max_assoc as usize],
                     })
                     .collect(),
@@ -234,23 +245,22 @@ impl SinglePassSim {
                     }
                 }
             }
-            Engine::Wave(tables) => {
+            Engine::Fifo(tables) => {
+                let slots = fifo_slots(max_assoc);
                 for table in tables {
-                    let row = (block % u64::from(table.sets)) as usize * max_assoc;
-                    let waves = table
-                        .waves
-                        .entry(block)
-                        .or_insert_with(|| vec![u64::MAX; max_assoc].into_boxed_slice());
-                    for lane in 0..max_assoc {
-                        let epoch = table.epochs[row + lane];
-                        let w = waves[lane];
-                        // Resident iff the block's latest insertion is
-                        // within the last `lane + 1` insertions.
-                        if w != u64::MAX && epoch - w <= lane as u64 + 1 {
+                    let set = (block % u64::from(table.sets)) as usize;
+                    let lanes = &mut table.lanes[set * max_assoc..][..max_assoc];
+                    let mut queue = &mut table.queues[set * slots..][..slots];
+                    for (lane, state) in lanes.iter_mut().enumerate() {
+                        let (ring, rest) = queue.split_at_mut(lane + 1);
+                        queue = rest;
+                        if ring[..state.filled as usize].contains(&block) {
                             table.hits[lane] += 1;
                         } else {
-                            waves[lane] = epoch;
-                            table.epochs[row + lane] = epoch + 1;
+                            ring[state.next as usize] = block;
+                            let ways = lane as u32 + 1;
+                            state.next = if state.next + 1 == ways { 0 } else { state.next + 1 };
+                            state.filled = (state.filled + 1).min(ways);
                         }
                     }
                 }
@@ -326,7 +336,7 @@ impl SinglePassSim {
     }
 
     /// Whether this simulator uses a native single-pass engine (LRU
-    /// stacks, FIFO wavetable) rather than the per-configuration direct
+    /// stacks, FIFO insertion queues) rather than the per-configuration direct
     /// fallback.
     pub fn single_pass_native(&self) -> bool {
         self.policy.single_pass_native()
@@ -349,7 +359,7 @@ impl SinglePassSim {
                 let hits: u64 = tables[ti].hits_at_depth[..assoc as usize].iter().sum();
                 self.accesses - hits
             }
-            Engine::Wave(tables) => self.accesses - tables[ti].hits[assoc as usize - 1],
+            Engine::Fifo(tables) => self.accesses - tables[ti].hits[assoc as usize - 1],
             Engine::Direct(tables) => tables[ti].lanes[assoc as usize - 1].misses,
         }
     }
@@ -479,9 +489,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_wavetable_shows_belady_anomaly_capability() {
+    fn fifo_queues_show_belady_anomaly_capability() {
         // The classic Belady sequence: FIFO with 4 frames misses MORE
-        // than with 3. The wavetable must reproduce non-monotone
+        // than with 3. The insertion queues must reproduce non-monotone
         // associativity behaviour exactly (stacks could not).
         let trace: Vec<u64> = [1u64, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5].to_vec();
         let mut sp = SinglePassSim::new_with_policy(Policy::Fifo, 1, &[1], 4);

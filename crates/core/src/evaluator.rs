@@ -22,23 +22,22 @@
 //! [`dilated_misses`]) used to validate the model (Tables 2/4, Figures
 //! 6/7).
 //!
-//! The reference trace is materialised once into shared buffers and the
-//! modeler and simulation passes fan out across a scoped-thread worker
-//! pool ([`crate::parallel`]). Every pass is independent, so miss counts
-//! are bit-identical for any worker count; [`EvalConfig::threads`] and the
-//! `MHE_THREADS` environment variable control the pool size, and
-//! [`ReferenceEvaluation::metrics`] reports where the time went.
-//!
-//! The same measurement also runs **streaming**:
-//! [`ReferenceEvaluation::build_from_trace`] consumes any access stream in
-//! fixed-size chunks, and [`ReferenceEvaluation::replay_file`] replays a
-//! captured `.mtr` or `.din` trace file from disk in bounded memory
-//! ([`ReferenceEvaluation::capture_mtr`] and
-//! [`ReferenceEvaluation::capture_din`] write them). Chunks fan out across
-//! the same worker pool into *stateful* modelers and simulators, so the
-//! results are bit-identical to the in-memory path for any chunk size and
-//! worker count; [`crate::metrics::ReplayMetrics`] reports decode
-//! throughput and the on-disk compression ratio.
+//! One measurement pipeline serves every constructor. A private trace
+//! source — the generator ([`ReferenceEvaluation::build`]), a caller's
+//! access stream ([`ReferenceEvaluation::build_from_trace`]), or a
+//! captured `.mtr` or `.din` file ([`ReferenceEvaluation::replay_file`];
+//! [`ReferenceEvaluation::capture_mtr`] and
+//! [`ReferenceEvaluation::capture_din`] write them) — is read in chunks
+//! of [`EvalConfig::chunk_accesses`], and each chunk fans out across a
+//! scoped-thread worker pool ([`crate::parallel`]) into *stateful* AHH
+//! modelers and single-pass simulators, or into the sampling planner
+//! when [`EvalConfig::sampling`] is set. Every task sees the whole trace
+//! in order, so miss counts are bit-identical for any source, chunk size
+//! and worker count, and the trace never has to fit in memory.
+//! [`EvalConfig::threads`] and the `MHE_THREADS` environment variable
+//! control the pool size; [`ReferenceEvaluation::metrics`] reports where
+//! the time went, and [`crate::metrics::ReplayMetrics`] the decode
+//! throughput and on-disk compression ratio of a file replay.
 
 use crate::error::MheError;
 use crate::icache::estimate_icache_misses;
@@ -53,7 +52,7 @@ use mhe_sampling::{
     RepWindow, SamplePlan, SamplePlanner, SampledSim, SamplingConfig, WindowExtractor,
 };
 use mhe_trace::codec::write_mtr;
-use mhe_trace::io::{read_din_iter_named, write_din};
+use mhe_trace::io::{read_din_iter_named, write_din, DinLines};
 use mhe_trace::stats::din_text_bytes;
 use mhe_trace::{
     Access, CodecStats, DilatedTraceGenerator, StreamKind, TraceGenerator, TraceReader,
@@ -89,10 +88,9 @@ pub struct EvalConfig {
     /// (`MHE_THREADS`, else available parallelism). Results are
     /// bit-identical for every value.
     pub threads: usize,
-    /// Accesses per chunk when streaming a trace through the measurement
-    /// tasks ([`ReferenceEvaluation::build_from_trace`] and `.din`
-    /// replay; `.mtr` replay uses the file's own frame size). Results are
-    /// bit-identical for every value.
+    /// Accesses per chunk when streaming the reference trace through the
+    /// measurement tasks (`.mtr` replay uses the file's own frame size
+    /// instead). Results are bit-identical for every value.
     pub chunk_accesses: usize,
     /// Default replacement policy. [`ReferenceEvaluation::for_benchmark`]
     /// applies it to every supplied cache configuration that still
@@ -327,463 +325,331 @@ const _: () = {
     assert_send_sync::<ReferenceEvaluation>()
 };
 
-/// One unit of fan-out work: a modeler pass or a single-pass simulation.
-enum MeasureTask {
-    IModel { addrs: Arc<[u64]>, granule: usize },
-    UModel { trace: Arc<[Access]>, granule: usize },
-    Sim { kind: StreamKind, line: u32, configs: Vec<CacheConfig>, addrs: Arc<[u64]> },
+/// Where the reference trace comes from. The measurement opens it once
+/// per pass over the trace: exact runs make one pass, sampled runs two.
+enum TraceSource<'a> {
+    /// The deterministic generator over the reference compilation.
+    Generated,
+    /// A caller's one-shot access stream; it can be opened only once.
+    Stream(Option<Box<dyn Iterator<Item = Access> + 'a>>),
+    /// A stream collected in memory, so a sampled run can read it twice.
+    Collected(Vec<Access>),
+    /// A captured `.mtr` file, decoded frame by frame.
+    Mtr(&'a Path),
+    /// A captured `din` text file, parsed in chunks.
+    Din(&'a Path),
 }
 
-enum MeasureResult {
-    IModel(TraceParams, Duration),
-    UModel(UnifiedParams, Duration),
-    Sim { kind: StreamKind, rows: Vec<(CacheConfig, u64)>, pass: PassMetrics },
-}
-
-fn run_measure_task(task: MeasureTask) -> MeasureResult {
-    match task {
-        MeasureTask::IModel { addrs, granule } => {
-            let start = Instant::now();
-            let mut m = ITraceModeler::new(granule);
-            for &a in addrs.iter() {
-                m.process(a);
+impl TraceSource<'_> {
+    fn open<'p>(
+        &'p mut self,
+        program: &'p Program,
+        reference: &'p Compiled,
+        config: &EvalConfig,
+    ) -> io::Result<Pass<'p>> {
+        Ok(match self {
+            TraceSource::Generated => Pass::Accesses(Box::new(
+                TraceGenerator::new(program, reference, config.seed)
+                    .with_event_limit(config.events),
+            )),
+            TraceSource::Stream(stream) => {
+                Pass::Accesses(stream.take().expect("a one-shot stream is opened once"))
             }
-            MeasureResult::IModel(m.finish(), start.elapsed())
-        }
-        MeasureTask::UModel { trace, granule } => {
-            let start = Instant::now();
-            let mut m = UTraceModeler::new(granule);
-            for &a in trace.iter() {
-                m.process(a);
+            TraceSource::Collected(trace) => Pass::Accesses(Box::new(trace.iter().copied())),
+            TraceSource::Mtr(path) => {
+                Pass::Mtr(TraceReader::new(BufReader::new(File::open(path)?))?)
             }
-            MeasureResult::UModel(m.finish(), start.elapsed())
-        }
-        MeasureTask::Sim { kind, line, configs, addrs } => {
-            let start = Instant::now();
-            let mut sim = SinglePassSim::for_configs(&configs);
-            sim.run(addrs.iter().copied());
-            let rows: Vec<(CacheConfig, u64)> =
-                configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
-            let pass = PassMetrics {
-                stream: kind,
-                line_words: line,
-                configs: configs.len(),
-                addresses: addrs.len() as u64,
-                wall: start.elapsed(),
-            };
-            MeasureResult::Sim { kind, rows, pass }
-        }
-    }
-}
-
-/// Groups configurations by (line size, policy) — the unit one
-/// [`SinglePassSim`] can cover — in deterministic `BTreeMap` order, and
-/// emits one simulation task per group.
-fn sim_tasks(kind: StreamKind, configs: &[CacheConfig], addrs: &Arc<[u64]>) -> Vec<MeasureTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
-    }
-    by_family
-        .into_iter()
-        .map(|((line, _), group)| MeasureTask::Sim {
-            kind,
-            line,
-            configs: group,
-            addrs: Arc::clone(addrs),
+            &mut TraceSource::Din(path) => Pass::Din {
+                lines: read_din_iter_named(
+                    BufReader::new(File::open(path)?),
+                    path.display().to_string(),
+                ),
+                din_bytes: 0,
+            },
         })
-        .collect()
+    }
 }
 
-/// One stateful unit of the streaming fan-out, fed one trace chunk at a
-/// time across many [`ParallelSweep::for_each_mut`] rounds.
-enum StreamTask {
-    IModel { modeler: ITraceModeler, wall: Duration },
-    UModel { modeler: UTraceModeler, wall: Duration },
-    Sim { kind: StreamKind, sim: SinglePassSim, configs: Vec<CacheConfig>, wall: Duration },
-    Plan { planner: Box<SamplePlanner>, wall: Duration },
+/// One open pass over a [`TraceSource`].
+enum Pass<'a> {
+    Accesses(Box<dyn Iterator<Item = Access> + 'a>),
+    Mtr(TraceReader<BufReader<File>>),
+    Din { lines: DinLines<BufReader<File>>, din_bytes: u64 },
 }
 
-impl StreamTask {
-    fn feed(&mut self, chunk: &[Access]) {
-        let start = Instant::now();
+impl Pass<'_> {
+    /// The next chunk of the trace; `Ok(None)` at its end. `.mtr` chunks
+    /// are the file's own frames.
+    fn next_chunk(&mut self, chunk_accesses: usize) -> io::Result<Option<Vec<Access>>> {
+        let chunk: Vec<Access> = match self {
+            Pass::Accesses(accesses) => {
+                let _obs = mhe_obs::span(mhe_obs::Phase::TraceGen);
+                accesses.by_ref().take(chunk_accesses).collect()
+            }
+            Pass::Mtr(reader) => return reader.next_frame(),
+            Pass::Din { lines, din_bytes } => {
+                let chunk: Vec<Access> =
+                    lines.by_ref().take(chunk_accesses).collect::<io::Result<_>>()?;
+                *din_bytes += din_text_bytes(chunk.iter().copied());
+                chunk
+            }
+        };
+        Ok((!chunk.is_empty()).then_some(chunk))
+    }
+
+    /// For a file replay: the bytes read so far and the same accesses'
+    /// size as `din` text.
+    fn file_bytes(&self) -> Option<(u64, u64)> {
         match self {
-            StreamTask::IModel { modeler, wall } => {
+            Pass::Accesses(_) => None,
+            Pass::Mtr(reader) => Some((reader.stats().bytes, reader.stats().din_bytes)),
+            // din is the uncompressed baseline: what was read is the text.
+            Pass::Din { din_bytes, .. } => Some((*din_bytes, *din_bytes)),
+        }
+    }
+}
+
+/// One stateful consumer of the measurement pass, fed every chunk in
+/// trace order.
+enum Task {
+    IModel(ITraceModeler),
+    UModel(UTraceModeler),
+    Sim { kind: StreamKind, sim: SinglePassSim, configs: Vec<CacheConfig> },
+    Plan(Box<SamplePlanner>),
+}
+
+impl Task {
+    fn feed(&mut self, chunk: &[Access]) {
+        match self {
+            Task::IModel(modeler) => {
                 for a in chunk {
                     if StreamKind::Instruction.admits(a.kind) {
                         modeler.process(a.addr);
                     }
                 }
-                *wall += start.elapsed();
             }
-            StreamTask::UModel { modeler, wall } => {
+            Task::UModel(modeler) => {
                 for &a in chunk {
                     modeler.process(a);
                 }
-                *wall += start.elapsed();
             }
-            StreamTask::Sim { kind, sim, wall, .. } => {
-                sim.run_stream(*kind, chunk.iter().copied());
-                *wall += start.elapsed();
-            }
-            StreamTask::Plan { planner, wall } => {
-                planner.feed(chunk);
-                *wall += start.elapsed();
-            }
+            Task::Sim { kind, sim, .. } => sim.run_stream(*kind, chunk.iter().copied()),
+            Task::Plan(planner) => planner.feed(chunk),
         }
     }
 }
 
-/// Streaming counterpart of [`sim_tasks`]: one *stateful* single-pass
-/// simulator per distinct (line size, policy) family, ready to be fed
-/// chunks.
-fn stream_sim_tasks(kind: StreamKind, configs: &[CacheConfig]) -> Vec<StreamTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
-    }
-    by_family
-        .into_values()
-        .map(|group| StreamTask::Sim {
-            kind,
-            sim: SinglePassSim::for_configs(&group),
-            configs: group,
-            wall: Duration::ZERO,
-        })
-        .collect()
-}
-
-/// Everything the streaming fan-out measures, before assembly into a
-/// [`ReferenceEvaluation`].
-struct StreamOutcome {
-    threads: usize,
-    iparams: TraceParams,
-    uparams: UnifiedParams,
-    imeasured: HashMap<CacheConfig, u64>,
-    dmeasured: HashMap<CacheConfig, u64>,
-    umeasured: HashMap<CacheConfig, u64>,
-    passes: Vec<PassMetrics>,
-    trace_len: u64,
-    din_bytes: u64,
-    chunks: u64,
-    decode_wall: Duration,
-    sim_wall: Duration,
-    model_wall: Duration,
-}
-
-/// Pulls chunks from `next_chunk` until it yields `Ok(None)`, feeding
-/// every stateful measurement task each chunk through the worker pool.
-///
-/// Each task sees the whole access stream in order regardless of the
-/// chunking, and modelers and simulators are deterministic, so the
-/// outcome is bit-identical to the materialised fan-out in
-/// [`ReferenceEvaluation::build`] for any chunk size and worker count.
-fn measure_streaming(
+/// Groups each stream's configurations into families, one per (line
+/// size, policy) — the unit one single-pass simulator covers — in
+/// deterministic order: instruction (expanded with the line sizes
+/// dilation needs), data, unified.
+fn families(
     config: &EvalConfig,
     icaches: &[CacheConfig],
     dcaches: &[CacheConfig],
     ucaches: &[CacheConfig],
-    next_chunk: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
-) -> io::Result<StreamOutcome> {
+) -> Vec<(StreamKind, Vec<CacheConfig>)> {
     let expanded = expand_line_sizes(icaches, config.max_dilation);
-    let mut tasks = vec![
-        StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
-        StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
-    ];
-    tasks.extend(stream_sim_tasks(StreamKind::Instruction, &expanded));
-    tasks.extend(stream_sim_tasks(StreamKind::Data, dcaches));
-    tasks.extend(stream_sim_tasks(StreamKind::Unified, ucaches));
-
-    // No retries here: stream tasks are stateful, so re-running a task
-    // that panicked mid-chunk could double-feed accesses. A panic in this
-    // sweep surfaces as a structured error instead.
-    let sweep = ParallelSweep::with_threads(config.worker_threads())
-        .with_retry(crate::env::RetryPolicy::NONE)
-        .with_label("streaming measure");
-    let mut trace_len = 0u64;
-    let mut din_bytes = 0u64;
-    let mut chunks = 0u64;
-    let mut decode_wall = Duration::ZERO;
-    let mut sim_wall = Duration::ZERO;
-    loop {
-        let decode_start = Instant::now();
-        let chunk = next_chunk()?;
-        decode_wall += decode_start.elapsed();
-        let Some(chunk) = chunk else { break };
-        if chunk.is_empty() {
-            continue;
+    let mut out = Vec::new();
+    for (kind, configs) in [
+        (StreamKind::Instruction, &expanded[..]),
+        (StreamKind::Data, dcaches),
+        (StreamKind::Unified, ucaches),
+    ] {
+        let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
+        for &c in configs {
+            by_family.entry((c.line_words, c.policy)).or_default().push(c);
         }
-        trace_len += chunk.len() as u64;
-        din_bytes += din_text_bytes(chunk.iter().copied());
-        chunks += 1;
-        let sim_start = Instant::now();
-        sweep
-            .try_for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |t| {
-                t.feed(&chunk);
-                Ok(())
-            })
-            .map_err(|e| io::Error::other(e.error.to_string()))?;
-        sim_wall += sim_start.elapsed();
+        out.extend(by_family.into_values().map(|group| (kind, group)));
     }
+    out
+}
+
+/// Estimates one family's miss counts from the sampling plan and its
+/// representative windows.
+fn sample_family(
+    kind: StreamKind,
+    configs: &[CacheConfig],
+    plan: &SamplePlan,
+    windows: &[RepWindow],
+) -> (Vec<(CacheConfig, u64)>, PassMetrics) {
+    let start = Instant::now();
+    let (line, policy) = (configs[0].line_words, configs[0].policy);
+    let mut set_counts: Vec<u32> = configs.iter().map(|c| c.sets).collect();
+    set_counts.sort_unstable();
+    set_counts.dedup();
+    let max_assoc = configs.iter().map(|c| c.assoc).max().unwrap_or(1);
+    let sim = SampledSim::measure(policy, line, &set_counts, max_assoc, kind, plan, windows);
+    let rows = configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
+    let pass = PassMetrics {
+        stream: kind,
+        line_words: line,
+        configs: configs.len(),
+        addresses: sim.sim_accesses(),
+        wall: start.elapsed(),
+    };
+    (rows, pass)
+}
+
+/// Everything the measurement produces, before assembly into a
+/// [`ReferenceEvaluation`].
+struct Measurement {
+    iparams: TraceParams,
+    uparams: UnifiedParams,
+    /// Miss counts by stream: instruction, data, unified.
+    measured: [HashMap<CacheConfig, u64>; 3],
+    /// Everything but `build_wall`.
+    metrics: EvalMetrics,
+}
+
+/// The index of `kind`'s grid in [`Measurement::measured`].
+fn grid(kind: StreamKind) -> usize {
+    match kind {
+        StreamKind::Instruction => 0,
+        StreamKind::Data => 1,
+        StreamKind::Unified => 2,
+    }
+}
+
+/// The one measurement pipeline.
+///
+/// A pass over `source` feeds each chunk, through the worker pool, to the
+/// two AHH modelers plus either one single-pass simulator per family
+/// (exact) or the sampling planner (sampled). Every task sees the whole
+/// trace in order whatever the chunking, and every task is
+/// deterministic, so the results are bit-identical for any chunk size
+/// and worker count. A sampled run then makes a second pass that copies
+/// out the representative windows (bounded by `clusters × (interval +
+/// warmup)` accesses) and fans one [`SampledSim`] per family out over
+/// them; results merge in family order.
+fn measure(
+    config: &EvalConfig,
+    mut source: TraceSource<'_>,
+    program: &Program,
+    reference: &Compiled,
+    icaches: &[CacheConfig],
+    dcaches: &[CacheConfig],
+    ucaches: &[CacheConfig],
+) -> io::Result<Measurement> {
+    let families = families(config, icaches, dcaches, ucaches);
+    let mut tasks = vec![
+        (Task::IModel(ITraceModeler::new(config.i_granule)), Duration::ZERO),
+        (Task::UModel(UTraceModeler::new(config.u_granule)), Duration::ZERO),
+    ];
+    let sampled_families = match config.sampling {
+        Some(sampling) => {
+            tasks.push((Task::Plan(Box::new(SamplePlanner::new(sampling))), Duration::ZERO));
+            families
+        }
+        None => {
+            tasks.extend(families.into_iter().map(|(kind, configs)| {
+                let sim = SinglePassSim::for_configs(&configs);
+                (Task::Sim { kind, sim, configs }, Duration::ZERO)
+            }));
+            Vec::new()
+        }
+    };
+
+    // Infallible rounds: a worker panic propagates to the caller, and an
+    // armed fault plan never fires mid-measurement (stateful tasks could
+    // not be retried anyway).
+    let sweep = ParallelSweep::with_threads(config.worker_threads());
+    let chunk_accesses = config.chunk_accesses.max(1);
+    let mut metrics = EvalMetrics { threads: sweep.threads(), ..EvalMetrics::default() };
+    let mut chunks = 0u64;
+    let mut pass = source.open(program, reference, config)?;
+    loop {
+        let pull = Instant::now();
+        let chunk = pass.next_chunk(chunk_accesses)?;
+        metrics.trace_wall += pull.elapsed();
+        let Some(chunk) = chunk else { break };
+        metrics.trace_len += chunk.len() as u64;
+        chunks += 1;
+        let round = Instant::now();
+        sweep.for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |(task, wall)| {
+            let start = Instant::now();
+            task.feed(&chunk);
+            *wall += start.elapsed();
+        });
+        metrics.sim_wall += round.elapsed();
+    }
+    let file_bytes = pass.file_bytes();
+    drop(pass);
 
     let mut iparams = None;
     let mut uparams = None;
-    let mut model_wall = Duration::ZERO;
-    let mut imeasured = HashMap::new();
-    let mut dmeasured = HashMap::new();
-    let mut umeasured = HashMap::new();
-    let mut passes = Vec::new();
-    for task in tasks {
+    let mut plan = None;
+    let mut measured: [HashMap<CacheConfig, u64>; 3] = Default::default();
+    for (task, wall) in tasks {
         match task {
-            StreamTask::IModel { modeler, wall } => {
-                iparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::UModel { modeler, wall } => {
-                uparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::Sim { kind, sim, configs, wall } => {
-                let map = match kind {
-                    StreamKind::Instruction => &mut imeasured,
-                    StreamKind::Data => &mut dmeasured,
-                    StreamKind::Unified => &mut umeasured,
-                };
-                map.extend(configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))));
-                passes.push(PassMetrics {
+            Task::IModel(modeler) => iparams = Some(modeler.finish()),
+            Task::UModel(modeler) => uparams = Some(modeler.finish()),
+            Task::Plan(planner) => plan = Some(planner.finish()),
+            Task::Sim { kind, sim, configs } => {
+                measured[grid(kind)]
+                    .extend(configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))));
+                metrics.passes.push(PassMetrics {
                     stream: kind,
                     line_words: sim.line_words(),
                     configs: configs.len(),
                     addresses: sim.accesses(),
                     wall,
                 });
-            }
-            StreamTask::Plan { .. } => {
-                unreachable!("plan tasks only run inside measure_sampled")
+                continue;
             }
         }
+        metrics.model_wall += wall;
     }
-    Ok(StreamOutcome {
-        threads: sweep.threads(),
-        iparams: iparams.expect("instruction modeler task ran"),
-        uparams: uparams.expect("unified modeler task ran"),
-        imeasured,
-        dmeasured,
-        umeasured,
-        passes,
-        trace_len,
+
+    if let Some(plan) = plan {
+        let mut extractor = WindowExtractor::new(&plan);
+        let mut pass = source.open(program, reference, config)?;
+        loop {
+            let pull = Instant::now();
+            let chunk = pass.next_chunk(chunk_accesses)?;
+            metrics.trace_wall += pull.elapsed();
+            let Some(chunk) = chunk else { break };
+            extractor.feed(&chunk);
+        }
+        let windows = extractor.finish();
+        let fan_out = Instant::now();
+        let results =
+            sweep.map_in(Some(mhe_obs::Phase::Simulate), sampled_families, |(kind, configs)| {
+                (kind, sample_family(kind, &configs, &plan, &windows))
+            });
+        metrics.sim_wall += fan_out.elapsed();
+        for (kind, (rows, pass)) in results {
+            measured[grid(kind)].extend(rows);
+            metrics.passes.push(pass);
+        }
+        metrics.sampling = Some(SamplingMetrics {
+            intervals: plan.intervals().len() as u64,
+            clusters: plan.clusters().len() as u64,
+            representative_accesses: plan.representative_accesses(),
+            total_accesses: plan.total_accesses(),
+            error_bound: plan.error_bound(),
+        });
+    }
+    metrics.replay = file_bytes.map(|(bytes_read, din_bytes)| ReplayMetrics {
+        bytes_read,
+        accesses: metrics.trace_len,
         din_bytes,
         chunks,
-        decode_wall,
-        sim_wall,
-        model_wall,
+        decode_wall: metrics.trace_wall,
+    });
+    Ok(Measurement {
+        iparams: iparams.expect("instruction modeler task ran"),
+        uparams: uparams.expect("unified modeler task ran"),
+        measured,
+        metrics,
     })
-}
-
-/// One unit of the sampled fan-out: estimate one (stream, line size,
-/// policy) family of configurations from the shared plan and windows.
-struct SampledTask {
-    kind: StreamKind,
-    configs: Vec<CacheConfig>,
-    plan: Arc<SamplePlan>,
-    windows: Arc<Vec<RepWindow>>,
-}
-
-fn run_sampled_task(task: SampledTask) -> (StreamKind, Vec<(CacheConfig, u64)>, PassMetrics) {
-    let start = Instant::now();
-    let line = task.configs[0].line_words;
-    let policy = task.configs[0].policy;
-    let mut set_counts: Vec<u32> = task.configs.iter().map(|c| c.sets).collect();
-    set_counts.sort_unstable();
-    set_counts.dedup();
-    let max_assoc = task.configs.iter().map(|c| c.assoc).max().unwrap_or(1);
-    let sim = SampledSim::measure(
-        policy,
-        line,
-        &set_counts,
-        max_assoc,
-        task.kind,
-        &task.plan,
-        &task.windows,
-    );
-    let rows: Vec<(CacheConfig, u64)> =
-        task.configs.iter().map(|&c| (c, sim.misses(c.sets, c.assoc))).collect();
-    let pass = PassMetrics {
-        stream: task.kind,
-        line_words: line,
-        configs: task.configs.len(),
-        addresses: sim.sim_accesses(),
-        wall: start.elapsed(),
-    };
-    (task.kind, rows, pass)
-}
-
-/// Sampled counterpart of [`sim_tasks`]: one estimator task per (line
-/// size, policy) family, all sharing the plan and windows.
-fn sampled_tasks(
-    kind: StreamKind,
-    configs: &[CacheConfig],
-    plan: &Arc<SamplePlan>,
-    windows: &Arc<Vec<RepWindow>>,
-) -> Vec<SampledTask> {
-    let mut by_family: BTreeMap<(u32, Policy), Vec<CacheConfig>> = BTreeMap::new();
-    for &c in configs {
-        by_family.entry((c.line_words, c.policy)).or_default().push(c);
-    }
-    by_family
-        .into_values()
-        .map(|group| SampledTask {
-            kind,
-            configs: group,
-            plan: Arc::clone(plan),
-            windows: Arc::clone(windows),
-        })
-        .collect()
-}
-
-/// Interval-sampled measurement: two passes over the trace plus a
-/// fan-out over the representative windows.
-///
-/// Pass A (`pass_a`) streams the whole trace once through the *exact*
-/// AHH modelers and the sampling planner (signatures — a few array
-/// lookups per access). Pass B (`pass_b`) streams the trace again and
-/// merely copies out each representative's warm-up and body, bounded by
-/// `clusters × (interval + warmup)` accesses of memory. The simulation
-/// fan-out then runs one [`SampledSim`] per (stream, line size, policy)
-/// family through the worker pool; family results merge in input order,
-/// so the outcome is bit-identical for any thread count, chunking, or
-/// repetition.
-fn measure_sampled(
-    config: &EvalConfig,
-    sampling: SamplingConfig,
-    icaches: &[CacheConfig],
-    dcaches: &[CacheConfig],
-    ucaches: &[CacheConfig],
-    pass_a: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
-    pass_b: &mut dyn FnMut() -> io::Result<Option<Vec<Access>>>,
-) -> io::Result<(StreamOutcome, SamplingMetrics)> {
-    // --- Pass A: exact modelers + interval signatures. ---
-    let mut tasks = vec![
-        StreamTask::IModel { modeler: ITraceModeler::new(config.i_granule), wall: Duration::ZERO },
-        StreamTask::UModel { modeler: UTraceModeler::new(config.u_granule), wall: Duration::ZERO },
-        StreamTask::Plan { planner: Box::new(SamplePlanner::new(sampling)), wall: Duration::ZERO },
-    ];
-    let sweep = ParallelSweep::with_threads(config.worker_threads())
-        .with_retry(crate::env::RetryPolicy::NONE)
-        .with_label("sampled measure");
-    let mut trace_len = 0u64;
-    let mut din_bytes = 0u64;
-    let mut chunks = 0u64;
-    let mut decode_wall = Duration::ZERO;
-    let mut sim_wall = Duration::ZERO;
-    loop {
-        let decode_start = Instant::now();
-        let chunk = pass_a()?;
-        decode_wall += decode_start.elapsed();
-        let Some(chunk) = chunk else { break };
-        if chunk.is_empty() {
-            continue;
-        }
-        trace_len += chunk.len() as u64;
-        din_bytes += din_text_bytes(chunk.iter().copied());
-        chunks += 1;
-        let sim_start = Instant::now();
-        sweep
-            .try_for_each_mut_in(Some(mhe_obs::Phase::Simulate), &mut tasks, |t| {
-                t.feed(&chunk);
-                Ok(())
-            })
-            .map_err(|e| io::Error::other(e.error.to_string()))?;
-        sim_wall += sim_start.elapsed();
-    }
-    let mut iparams = None;
-    let mut uparams = None;
-    let mut plan = None;
-    let mut model_wall = Duration::ZERO;
-    for task in tasks {
-        match task {
-            StreamTask::IModel { modeler, wall } => {
-                iparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::UModel { modeler, wall } => {
-                uparams = Some(modeler.finish());
-                model_wall += wall;
-            }
-            StreamTask::Plan { planner, wall } => {
-                plan = Some(planner.finish());
-                model_wall += wall;
-            }
-            StreamTask::Sim { .. } => unreachable!("sampled pass A runs no simulators"),
-        }
-    }
-    let plan = Arc::new(plan.expect("planner task ran"));
-
-    // --- Pass B: copy out the representative windows (single-threaded;
-    // it is a pure range intersection + memcpy). ---
-    let mut extractor = WindowExtractor::new(&plan);
-    loop {
-        let decode_start = Instant::now();
-        let chunk = pass_b()?;
-        decode_wall += decode_start.elapsed();
-        let Some(chunk) = chunk else { break };
-        extractor.feed(&chunk);
-    }
-    let windows = Arc::new(extractor.finish());
-
-    // --- Fan-out: one sampled estimator per (stream, line, policy). ---
-    let expanded = expand_line_sizes(icaches, config.max_dilation);
-    let mut tasks = sampled_tasks(StreamKind::Instruction, &expanded, &plan, &windows);
-    tasks.extend(sampled_tasks(StreamKind::Data, dcaches, &plan, &windows));
-    tasks.extend(sampled_tasks(StreamKind::Unified, ucaches, &plan, &windows));
-    let sim_start = Instant::now();
-    let results = sweep.map_in(Some(mhe_obs::Phase::Simulate), tasks, run_sampled_task);
-    sim_wall += sim_start.elapsed();
-
-    let mut imeasured = HashMap::new();
-    let mut dmeasured = HashMap::new();
-    let mut umeasured = HashMap::new();
-    let mut passes = Vec::new();
-    for (kind, rows, pass) in results {
-        let map = match kind {
-            StreamKind::Instruction => &mut imeasured,
-            StreamKind::Data => &mut dmeasured,
-            StreamKind::Unified => &mut umeasured,
-        };
-        map.extend(rows);
-        passes.push(pass);
-    }
-    let sampling_metrics = SamplingMetrics {
-        intervals: plan.intervals().len() as u64,
-        clusters: plan.clusters().len() as u64,
-        representative_accesses: plan.representative_accesses(),
-        total_accesses: plan.total_accesses(),
-        error_bound: plan.error_bound(),
-    };
-    Ok((
-        StreamOutcome {
-            threads: sweep.threads(),
-            iparams: iparams.expect("instruction modeler task ran"),
-            uparams: uparams.expect("unified modeler task ran"),
-            imeasured,
-            dmeasured,
-            umeasured,
-            passes,
-            trace_len,
-            din_bytes,
-            chunks,
-            decode_wall,
-            sim_wall,
-            model_wall,
-        },
-        sampling_metrics,
-    ))
 }
 
 impl ReferenceEvaluation {
     /// Compiles `program` for the reference machine, measures trace
     /// parameters, and simulates the given cache design spaces on the
-    /// reference trace.
+    /// reference trace, streamed from the generator in chunks of
+    /// [`EvalConfig::chunk_accesses`].
     ///
     /// Instruction-cache configurations are automatically expanded with the
     /// smaller power-of-two line sizes required to interpolate up to
@@ -796,185 +662,59 @@ impl ReferenceEvaluation {
         dcaches: &[CacheConfig],
         ucaches: &[CacheConfig],
     ) -> Self {
+        Self::from_source(
+            program,
+            reference_mdes,
+            config,
+            TraceSource::Generated,
+            icaches,
+            dcaches,
+            ucaches,
+        )
+        .expect("a generated trace cannot fail to read")
+    }
+
+    /// Profiles and compiles `program` for the reference machine, then
+    /// runs the measurement over `source`.
+    fn from_source(
+        program: Program,
+        reference_mdes: &Mdes,
+        config: EvalConfig,
+        source: TraceSource<'_>,
+        icaches: &[CacheConfig],
+        dcaches: &[CacheConfig],
+        ucaches: &[CacheConfig],
+    ) -> io::Result<Self> {
         let build_start = Instant::now();
         let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
         let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-
-        // --- Sampled route: never materialise the trace at all. The
-        // deterministic generator is simply run twice (pass A:
-        // signatures + exact modelers; pass B: window extraction). ---
-        if let Some(sampling) = config.sampling {
-            let (outcome, sampling_metrics) = {
-                let chunk_size = config.chunk_accesses.max(1);
-                let make_pass = || {
-                    let mut it = TraceGenerator::new(&program, &reference, config.seed)
-                        .with_event_limit(config.events);
-                    move || -> io::Result<Option<Vec<Access>>> {
-                        let chunk: Vec<Access> = it.by_ref().take(chunk_size).collect();
-                        Ok(if chunk.is_empty() { None } else { Some(chunk) })
-                    }
-                };
-                let mut pass_a = make_pass();
-                let mut pass_b = make_pass();
-                measure_sampled(
-                    &config,
-                    sampling,
-                    icaches,
-                    dcaches,
-                    ucaches,
-                    &mut pass_a,
-                    &mut pass_b,
-                )
-                .expect("in-memory trace source cannot fail")
-            };
-            return Self::from_outcome(
-                program,
-                freq,
-                reference,
-                config,
-                outcome,
-                None,
-                Some(sampling_metrics),
-                build_start,
-            );
-        }
-
-        // --- Materialise the reference trace once; every pass below reads
-        // the shared buffers instead of regenerating the trace. ---
-        let trace_start = Instant::now();
-        let trace_obs = mhe_obs::span(mhe_obs::Phase::TraceGen);
-        let unified: Vec<Access> = TraceGenerator::new(&program, &reference, config.seed)
-            .with_event_limit(config.events)
-            .collect();
-        drop(trace_obs);
-        let iaddrs: Arc<[u64]> = unified
-            .iter()
-            .filter(|a| StreamKind::Instruction.admits(a.kind))
-            .map(|a| a.addr)
-            .collect();
-        let daddrs: Arc<[u64]> =
-            unified.iter().filter(|a| StreamKind::Data.admits(a.kind)).map(|a| a.addr).collect();
-        let uaddrs: Arc<[u64]> = unified.iter().map(|a| a.addr).collect();
-        let unified: Arc<[Access]> = unified.into();
-        let trace_wall = trace_start.elapsed();
-
-        // --- Fan out: two modeler passes plus one single-pass simulation
-        // per (stream, line size), all independent. ---
-        let expanded = expand_line_sizes(icaches, config.max_dilation);
-        let mut tasks = vec![
-            MeasureTask::IModel { addrs: Arc::clone(&iaddrs), granule: config.i_granule },
-            MeasureTask::UModel { trace: Arc::clone(&unified), granule: config.u_granule },
-        ];
-        tasks.extend(sim_tasks(StreamKind::Instruction, &expanded, &iaddrs));
-        tasks.extend(sim_tasks(StreamKind::Data, dcaches, &daddrs));
-        tasks.extend(sim_tasks(StreamKind::Unified, ucaches, &uaddrs));
-
-        let sweep = ParallelSweep::with_threads(config.worker_threads());
-        let sim_start = Instant::now();
-        let results = sweep.map_in(Some(mhe_obs::Phase::Simulate), tasks, run_measure_task);
-        let sim_wall = sim_start.elapsed();
-
-        // --- Merge (input order, so metrics are deterministic too). ---
-        let mut iparams = None;
-        let mut uparams = None;
-        let mut model_wall = Duration::ZERO;
-        let mut imeasured = HashMap::new();
-        let mut dmeasured = HashMap::new();
-        let mut umeasured = HashMap::new();
-        let mut passes = Vec::new();
-        for result in results {
-            match result {
-                MeasureResult::IModel(p, wall) => {
-                    iparams = Some(p);
-                    model_wall += wall;
-                }
-                MeasureResult::UModel(p, wall) => {
-                    uparams = Some(p);
-                    model_wall += wall;
-                }
-                MeasureResult::Sim { kind, rows, pass } => {
-                    let map = match kind {
-                        StreamKind::Instruction => &mut imeasured,
-                        StreamKind::Data => &mut dmeasured,
-                        StreamKind::Unified => &mut umeasured,
-                    };
-                    map.extend(rows);
-                    passes.push(pass);
-                }
-            }
-        }
-        let metrics = EvalMetrics {
-            threads: sweep.threads(),
-            trace_len: uaddrs.len() as u64,
-            trace_wall,
-            model_wall,
-            sim_wall,
-            build_wall: build_start.elapsed(),
-            passes,
-            replay: None,
-            sampling: None,
-        };
-
-        Self {
+        let m = measure(&config, source, &program, &reference, icaches, dcaches, ucaches)?;
+        let [imeasured, dmeasured, umeasured] = m.measured;
+        Ok(Self {
             config,
             program: Arc::new(program),
             freq: Arc::new(freq),
             reference: Arc::new(reference),
-            iparams: iparams.expect("instruction modeler task ran"),
-            uparams: uparams.expect("unified modeler task ran"),
+            iparams: m.iparams,
+            uparams: m.uparams,
             imeasured,
             dmeasured,
             umeasured,
-            metrics,
-        }
-    }
-
-    /// Assembles an evaluation from the streaming fan-out's outcome.
-    #[allow(clippy::too_many_arguments)]
-    fn from_outcome(
-        program: Program,
-        freq: BlockFrequencies,
-        reference: Compiled,
-        config: EvalConfig,
-        outcome: StreamOutcome,
-        replay: Option<ReplayMetrics>,
-        sampling: Option<SamplingMetrics>,
-        build_start: Instant,
-    ) -> Self {
-        let metrics = EvalMetrics {
-            threads: outcome.threads,
-            trace_len: outcome.trace_len,
-            trace_wall: outcome.decode_wall,
-            model_wall: outcome.model_wall,
-            sim_wall: outcome.sim_wall,
-            build_wall: build_start.elapsed(),
-            passes: outcome.passes,
-            replay,
-            sampling,
-        };
-        Self {
-            config,
-            program: Arc::new(program),
-            freq: Arc::new(freq),
-            reference: Arc::new(reference),
-            iparams: outcome.iparams,
-            uparams: outcome.uparams,
-            imeasured: outcome.imeasured,
-            dmeasured: outcome.dmeasured,
-            umeasured: outcome.umeasured,
-            metrics,
-        }
+            metrics: EvalMetrics { build_wall: build_start.elapsed(), ..m.metrics },
+        })
     }
 
     /// Like [`ReferenceEvaluation::build`], but measures an explicitly
     /// supplied access stream instead of generating the reference trace:
     /// the stream *is* taken to be the reference trace.
     ///
-    /// The stream is consumed in chunks of [`EvalConfig::chunk_accesses`]
-    /// fanned out across the worker pool into stateful modelers and
-    /// simulators, so arbitrarily long traces run in bounded memory.
-    /// Whenever the stream equals the generated reference trace, every
-    /// miss count and parameter is bit-identical to `build`'s.
+    /// The stream is consumed in chunks of [`EvalConfig::chunk_accesses`],
+    /// so arbitrarily long traces run in bounded memory; only a sampled
+    /// run, which needs two passes, collects the stream first (replay
+    /// file-backed traces with [`ReferenceEvaluation::replay_file`]
+    /// instead, which re-opens the file). Whenever the stream equals the
+    /// generated reference trace, every miss count and parameter is
+    /// bit-identical to `build`'s.
     pub fn build_from_trace(
         program: Program,
         reference_mdes: &Mdes,
@@ -984,50 +724,14 @@ impl ReferenceEvaluation {
         dcaches: &[CacheConfig],
         ucaches: &[CacheConfig],
     ) -> Self {
-        let build_start = Instant::now();
-        let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
-        let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-        let chunk_size = config.chunk_accesses.max(1);
-        // Sampling needs two passes over the stream; a one-shot iterator
-        // has to be materialised for that (file-backed traces should use
-        // `replay_file`, which re-opens the file instead).
-        if let Some(sampling) = config.sampling {
-            let all: Vec<Access> = trace.into_iter().collect();
-            let (outcome, sampling_metrics) = {
-                let mut chunks_a = all.chunks(chunk_size);
-                let mut pass_a = move || Ok(chunks_a.next().map(<[Access]>::to_vec));
-                let mut chunks_b = all.chunks(chunk_size);
-                let mut pass_b = move || Ok(chunks_b.next().map(<[Access]>::to_vec));
-                measure_sampled(
-                    &config,
-                    sampling,
-                    icaches,
-                    dcaches,
-                    ucaches,
-                    &mut pass_a,
-                    &mut pass_b,
-                )
-                .expect("in-memory trace source cannot fail")
-            };
-            return Self::from_outcome(
-                program,
-                freq,
-                reference,
-                config,
-                outcome,
-                None,
-                Some(sampling_metrics),
-                build_start,
-            );
-        }
-        let mut iter = trace.into_iter();
-        let mut next = move || -> io::Result<Option<Vec<Access>>> {
-            let chunk: Vec<Access> = iter.by_ref().take(chunk_size).collect();
-            Ok(if chunk.is_empty() { None } else { Some(chunk) })
+        let trace = trace.into_iter();
+        let source = if config.sampling.is_some() {
+            TraceSource::Collected(trace.collect())
+        } else {
+            TraceSource::Stream(Some(Box::new(trace)))
         };
-        let outcome = measure_streaming(&config, icaches, dcaches, ucaches, &mut next)
-            .expect("in-memory trace source cannot fail");
-        Self::from_outcome(program, freq, reference, config, outcome, None, None, build_start)
+        Self::from_source(program, reference_mdes, config, source, icaches, dcaches, ucaches)
+            .expect("an in-memory trace cannot fail to read")
     }
 
     /// Replays a captured trace file as the reference trace.
@@ -1035,10 +739,10 @@ impl ReferenceEvaluation {
     /// `.mtr` files are decoded frame by frame (each frame is one chunk);
     /// `.din` text is parsed in chunks of [`EvalConfig::chunk_accesses`].
     /// Either way the file streams through the measurement in bounded
-    /// memory, and the resulting evaluation is bit-identical to building
-    /// from the same trace in memory. [`EvalMetrics::replay`] records
-    /// bytes read, decode throughput, and the compression ratio relative
-    /// to `din` text.
+    /// memory (a sampled run re-opens it for its second pass), and the
+    /// resulting evaluation is bit-identical to building from the same
+    /// trace in memory. [`EvalMetrics::replay`] records bytes read, decode
+    /// throughput, and the compression ratio relative to `din` text.
     ///
     /// # Errors
     ///
@@ -1054,115 +758,17 @@ impl ReferenceEvaluation {
         ucaches: &[CacheConfig],
     ) -> io::Result<Self> {
         let path = path.as_ref();
-        let build_start = Instant::now();
-        let freq = BlockFrequencies::profile(&program, config.seed, 200_000);
-        let reference = Compiled::build(&program, reference_mdes, Some(&freq));
-        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
-        let chunk_size = config.chunk_accesses.max(1);
-        let din_chunk = |lines: &mut dyn Iterator<Item = io::Result<Access>>| -> io::Result<Option<Vec<Access>>> {
-            let mut chunk = Vec::new();
-            for item in lines {
-                chunk.push(item?);
-                if chunk.len() >= chunk_size {
-                    break;
-                }
-            }
-            Ok(if chunk.is_empty() { None } else { Some(chunk) })
-        };
-        let (outcome, sampling_metrics, bytes_read) = match (ext, config.sampling) {
-            ("mtr", None) => {
-                let mut reader = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let outcome = {
-                    let mut next = || reader.next_frame();
-                    measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
-                };
-                let bytes = reader.stats().bytes;
-                (outcome, None, bytes)
-            }
-            ("mtr", Some(sampling)) => {
-                // Sampling's two passes re-open the file: the trace still
-                // never lives in memory, only the representative windows.
-                let mut reader_a = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let mut reader_b = TraceReader::new(BufReader::new(File::open(path)?))?;
-                let (outcome, sm) = {
-                    let mut pass_a = || reader_a.next_frame();
-                    let mut pass_b = || reader_b.next_frame();
-                    measure_sampled(
-                        &config,
-                        sampling,
-                        icaches,
-                        dcaches,
-                        ucaches,
-                        &mut pass_a,
-                        &mut pass_b,
-                    )?
-                };
-                let bytes = reader_a.stats().bytes;
-                (outcome, Some(sm), bytes)
-            }
-            ("din", None) => {
-                let mut lines = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
-                let outcome = {
-                    let mut next = || din_chunk(&mut lines);
-                    measure_streaming(&config, icaches, dcaches, ucaches, &mut next)?
-                };
-                // din is the uncompressed baseline: what we read is the
-                // text itself.
-                let bytes = outcome.din_bytes;
-                (outcome, None, bytes)
-            }
-            ("din", Some(sampling)) => {
-                let mut lines_a = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
-                let mut lines_b = read_din_iter_named(
-                    BufReader::new(File::open(path)?),
-                    path.display().to_string(),
-                );
-                let (outcome, sm) = {
-                    let mut pass_a = || din_chunk(&mut lines_a);
-                    let mut pass_b = || din_chunk(&mut lines_b);
-                    measure_sampled(
-                        &config,
-                        sampling,
-                        icaches,
-                        dcaches,
-                        ucaches,
-                        &mut pass_a,
-                        &mut pass_b,
-                    )?
-                };
-                let bytes = outcome.din_bytes;
-                (outcome, Some(sm), bytes)
-            }
-            (other, _) => {
+        let source = match path.extension().and_then(|e| e.to_str()).unwrap_or("") {
+            "mtr" => TraceSource::Mtr(path),
+            "din" => TraceSource::Din(path),
+            other => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     format!("unknown trace extension {other:?} (expected mtr or din)"),
                 ));
             }
         };
-        let replay = ReplayMetrics {
-            bytes_read,
-            accesses: outcome.trace_len,
-            din_bytes: outcome.din_bytes,
-            chunks: outcome.chunks,
-            decode_wall: outcome.decode_wall,
-        };
-        Ok(Self::from_outcome(
-            program,
-            freq,
-            reference,
-            config,
-            outcome,
-            Some(replay),
-            sampling_metrics,
-            build_start,
-        ))
+        Self::from_source(program, reference_mdes, config, source, icaches, dcaches, ucaches)
     }
 
     /// Convenience: build for a benchmark with the paper's cache spaces.

@@ -160,9 +160,11 @@ impl std::fmt::Display for SamplingMetrics {
 pub struct EvalMetrics {
     /// Worker threads the measurement fan-out used.
     pub threads: usize,
-    /// Length of the materialised unified reference trace.
+    /// Length of the unified reference trace.
     pub trace_len: u64,
-    /// Wall time to generate and materialise the reference trace.
+    /// Wall time spent pulling the reference trace's chunks from its
+    /// source (generating, or reading and decoding a file), over every
+    /// pass a sampled run makes.
     pub trace_wall: Duration,
     /// Wall time of the two trace-parameter modeler passes.
     pub model_wall: Duration,

@@ -22,22 +22,25 @@
 //! poisoned task can never deadlock or abort a sweep mid-join:
 //!
 //! * the fallible entry points ([`ParallelSweep::try_map`],
-//!   [`ParallelSweep::try_for_each_mut`]) convert the panic into
+//!   [`ParallelSweep::try_map_in`]) convert the panic into
 //!   [`MheError::WorkerFailed`] carrying the task label and panic
 //!   message, cancel remaining queued work, and surface the partial
 //!   [`SweepMetrics`] in a [`SweepError`];
 //! * the infallible entry points ([`ParallelSweep::map`],
-//!   [`ParallelSweep::for_each_mut`]) cancel remaining work, join every
-//!   worker cleanly, and then re-raise the first panicking task's payload
-//!   (lowest index wins) — deterministic, but still a panic, because the
-//!   signature cannot express failure;
+//!   [`ParallelSweep::for_each_mut`] and their `_in` forms) cancel
+//!   remaining work, join every worker cleanly, and then re-raise the
+//!   first panicking task's payload (lowest index wins) — deterministic,
+//!   but still a panic, because the signature cannot express failure;
 //! * a [`RetryPolicy`] (default: [`crate::env::retry_policy`], i.e.
 //!   `MHE_RETRIES`) re-runs *panicked* tasks a bounded number of times in
 //!   the fallible paths. Typed `MheError` returns are never retried —
 //!   they are deterministic domain failures.
 //!
 //! The fallible paths also consult [`crate::fault::maybe_panic_task`], so
-//! a [`crate::fault::FaultPlan`] can kill chosen tasks on demand.
+//! a [`crate::fault::FaultPlan`] can kill chosen tasks on demand. The
+//! infallible paths never do: the evaluator's stateful measurement rounds
+//! run on [`ParallelSweep::for_each_mut_in`], so an armed plan lands in
+//! the walk's fallible sweeps, never mid-measurement.
 
 use crate::cancel::CancelToken;
 use crate::env::RetryPolicy;
@@ -584,155 +587,6 @@ impl ParallelSweep {
             .map(|m| m.into_inner().unwrap().expect("worker completed item"))
             .collect())
     }
-
-    /// The fallible, panic-isolated counterpart of
-    /// [`ParallelSweep::for_each_mut`]: applies `f` to every item in
-    /// place; `Err` and caught panics behave as in
-    /// [`ParallelSweep::try_map`]. A retried task re-runs `f` on the same
-    /// item, so `f` must either be restartable or panic before mutating.
-    pub fn try_for_each_mut<T, F>(&self, items: &mut [T], f: F) -> Result<(), SweepError>
-    where
-        T: Send,
-        F: Fn(&mut T) -> Result<(), MheError> + Sync,
-    {
-        self.try_for_each_mut_in(None, items, f)
-    }
-
-    /// Like [`ParallelSweep::try_for_each_mut`], attributing the round to
-    /// an observability phase.
-    pub fn try_for_each_mut_in<T, F>(
-        &self,
-        phase: Option<mhe_obs::Phase>,
-        items: &mut [T],
-        f: F,
-    ) -> Result<(), SweepError>
-    where
-        T: Send,
-        F: Fn(&mut T) -> Result<(), MheError> + Sync,
-    {
-        let start = Instant::now();
-        let probe = phase.filter(|_| mhe_obs::enabled());
-        let _wall = probe.map(mhe_obs::wall_span);
-        let n = items.len();
-        let workers = self.threads.min(n).max(1);
-        let retries = AtomicU64::new(0);
-        let completed = AtomicUsize::new(0);
-
-        let run_one = |i: usize, item: &mut T| -> Result<(), MheError> {
-            let mut attempt = 0u32;
-            loop {
-                if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                    return Err(MheError::Cancelled);
-                }
-                attempt += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    crate::fault::maybe_panic_task(i as u64);
-                    f(item)
-                }));
-                match outcome {
-                    Ok(result) => return result,
-                    Err(payload) => {
-                        mhe_obs::count(mhe_obs::Counter::WorkerPanic, 1);
-                        if attempt < self.retry.max_attempts {
-                            retries.fetch_add(1, Ordering::Relaxed);
-                            mhe_obs::count(mhe_obs::Counter::TaskRetry, 1);
-                            if !self.retry.backoff.is_zero() {
-                                std::thread::sleep(self.retry.backoff);
-                            }
-                            continue;
-                        }
-                        return Err(MheError::worker_failed(
-                            format!("{} task {i}", self.label),
-                            panic_message(payload.as_ref()),
-                        ));
-                    }
-                }
-            }
-        };
-
-        let metrics = |completed: usize, retries: u64, wall: Duration| SweepMetrics {
-            jobs: n,
-            threads: workers,
-            wall,
-            completed,
-            retries,
-        };
-
-        if workers <= 1 {
-            let busy_start = probe.map(|_| Instant::now());
-            for (i, item) in items.iter_mut().enumerate() {
-                if let Err(error) = run_one(i, item) {
-                    if let (Some(p), Some(bs)) = (probe, busy_start) {
-                        mhe_obs::add_busy(p, bs.elapsed());
-                    }
-                    return Err(SweepError {
-                        error,
-                        metrics: metrics(i, retries.load(Ordering::Relaxed), start.elapsed()),
-                    });
-                }
-            }
-            if let (Some(p), Some(bs)) = (probe, busy_start) {
-                mhe_obs::add_busy(p, bs.elapsed());
-            }
-            return Ok(());
-        }
-
-        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-        let cursor = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let first_error: Mutex<Option<(usize, MheError)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        if cancelled.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut guard = slots[i].lock().unwrap();
-                        let item_start = probe.map(|_| Instant::now());
-                        let outcome = run_one(i, &mut guard);
-                        drop(guard);
-                        match outcome {
-                            Ok(()) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Err(error) => {
-                                cancelled.store(true, Ordering::Relaxed);
-                                let mut slot = first_error.lock().unwrap();
-                                match &*slot {
-                                    Some((j, _)) if *j <= i => {}
-                                    _ => *slot = Some((i, error)),
-                                }
-                                break;
-                            }
-                        }
-                        if let Some(s) = item_start {
-                            busy += s.elapsed();
-                        }
-                    }
-                    if let Some(p) = probe {
-                        mhe_obs::add_busy(p, busy);
-                    }
-                });
-            }
-        });
-        if let Some((_, error)) = first_error.into_inner().unwrap() {
-            return Err(SweepError {
-                error,
-                metrics: metrics(
-                    completed.load(Ordering::Relaxed),
-                    retries.load(Ordering::Relaxed),
-                    start.elapsed(),
-                ),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -892,33 +746,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(calls.load(Ordering::Relaxed), 1, "typed errors are deterministic");
         assert_eq!(err.error.exit_code(), 2);
-    }
-
-    #[test]
-    fn try_for_each_mut_isolates_panics_and_reports_partial_metrics() {
-        for threads in [1, 8] {
-            let mut items: Vec<u64> = (0..40).collect();
-            let err = ParallelSweep::with_threads(threads)
-                .try_for_each_mut(&mut items, |x| {
-                    if *x == 11 {
-                        panic!("poisoned item");
-                    }
-                    *x += 100;
-                    Ok(())
-                })
-                .unwrap_err();
-            assert!(matches!(err.error, MheError::WorkerFailed { .. }), "{threads} threads");
-            assert!(err.metrics.completed < 40);
-        }
-        // Success path mutates every item exactly once.
-        let mut items: Vec<u64> = (0..40).collect();
-        ParallelSweep::with_threads(8)
-            .try_for_each_mut(&mut items, |x| {
-                *x += 100;
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(items, (100..140).collect::<Vec<u64>>());
     }
 
     #[test]

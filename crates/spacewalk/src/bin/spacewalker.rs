@@ -60,10 +60,6 @@
 //! daemon or coordinator rejected — or never received — the shared
 //! auth token), **7** cancelled (the request was cooperatively
 //! cancelled before completing).
-//!
-//! The pre-subcommand spelling (`spacewalker SPEC --serve/--connect/...`)
-//! still parses as a deprecated alias and prints a one-line migration
-//! hint to stderr.
 
 use mhe_core::evaluator::EvalConfig;
 use mhe_core::{
@@ -102,10 +98,7 @@ const USAGE: &str = "usage:
 exit codes:
   0 success | 2 bad configuration | 3 corrupt input
   4 worker failure | 5 server unavailable
-  6 unauthorized | 7 cancelled
-
-The pre-subcommand flags (spacewalker SPEC [--serve ADDR] [--connect ADDR] ...)
-still parse as deprecated aliases of walk/serve/connect.";
+  6 unauthorized | 7 cancelled";
 
 /// Parses `N[:clusters=K,warmup=W]` into a [`SamplingConfig`] (defaults
 /// fill the unnamed fields).
@@ -881,92 +874,6 @@ fn run_fleet(
     Ok(())
 }
 
-// --- deprecated pre-subcommand spelling ----------------------------------
-
-/// The original flag-soup interface, kept as a deprecated alias. Parses
-/// exactly as before, but prints a one-line migration hint naming the
-/// subcommand that replaces the invocation.
-fn legacy(args: &[String]) -> ExitCode {
-    let mut opts = SweepOptions::default();
-    let mut spec_path = None;
-    let mut serve_addr: Option<String> = None;
-    let mut connect_addr: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--serve" => {
-                i += 1;
-                serve_addr = args.get(i).cloned();
-                if serve_addr.is_none() {
-                    return fail(EXIT_BAD_CONFIG, "--serve needs an address (e.g. 127.0.0.1:7199)");
-                }
-            }
-            "--connect" => {
-                i += 1;
-                connect_addr = args.get(i).cloned();
-                if connect_addr.is_none() {
-                    return fail(EXIT_BAD_CONFIG, "--connect needs an address");
-                }
-            }
-            _ => match opts.take(args, &mut i) {
-                Ok(true) => {}
-                Ok(false) => {
-                    let other = args[i].as_str();
-                    if other.starts_with('-') {
-                        return fail(EXIT_BAD_CONFIG, format!("unknown flag {other:?}\n{USAGE}"));
-                    }
-                    if spec_path.replace(other.to_string()).is_some() {
-                        return fail(
-                            EXIT_BAD_CONFIG,
-                            format!("unexpected extra argument {other:?}"),
-                        );
-                    }
-                }
-                Err((code, msg)) => return fail(code, msg),
-            },
-        }
-        i += 1;
-    }
-
-    if let Some(addr) = serve_addr {
-        eprintln!(
-            "spacewalker: note: `--serve ADDR` is deprecated; use `spacewalker serve {addr}`"
-        );
-        if spec_path.is_some() || connect_addr.is_some() {
-            return fail(EXIT_BAD_CONFIG, "--serve takes no spec and no --connect");
-        }
-        return serve(&addr, mhe_spacewalk::ServiceConfig::default(), None);
-    }
-
-    let Some(spec_path) = spec_path else {
-        return fail(EXIT_BAD_CONFIG, USAGE);
-    };
-
-    if let Some(addr) = connect_addr {
-        eprintln!(
-            "spacewalker: note: `--connect ADDR` is deprecated; \
-             use `spacewalker connect {addr} {spec_path}`"
-        );
-        if let Err((code, msg)) = opts.reject_persistence("--connect") {
-            return fail(code, msg);
-        }
-        let loaded = match load_spec(&spec_path, &opts) {
-            Ok(l) => l,
-            Err((code, msg)) => return fail(code, msg),
-        };
-        return connect(&addr, loaded.text, &opts, None, 0, None, None);
-    }
-
-    eprintln!(
-        "spacewalker: note: the flags-only spelling is deprecated; \
-         use `spacewalker walk {spec_path} ...`"
-    );
-    match run_walk(&spec_path, &opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err((code, msg)) => fail(code, msg),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -982,6 +889,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        _ => legacy(&args),
+        Some(other) => fail(EXIT_BAD_CONFIG, format!("unknown command {other:?}\n{USAGE}")),
     }
 }

@@ -295,7 +295,15 @@ fn drive(
 
     outcome.worker_id = job.worker_id;
     loop {
-        send(writer, &WorkerFrame::NeedShard)?;
+        if let Err(e) = send(writer, &WorkerFrame::NeedShard) {
+            // The sweep can finish while this worker is still building
+            // its evaluation: the coordinator then answers NoMoreWork and
+            // closes, so the write fails with that answer already waiting.
+            return match recv(reader, timeout) {
+                Ok(CoordFrame::NoMoreWork) => Ok(()),
+                _ => Err(e),
+            };
+        }
         let assignment = loop {
             match recv(reader, timeout)? {
                 CoordFrame::Wait => continue,

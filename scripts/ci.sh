@@ -9,6 +9,9 @@ cargo fmt --check
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+echo "==> perfbench self-tests (the benchmark harness builds against the public API)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

@@ -325,6 +325,9 @@ fn fleet_sweep_absorbs_frame_faults_and_stays_bit_identical() {
 /// No timers race the sweep: the incompleteness is structural.
 #[test]
 fn coordinator_handoff_resumes_from_checkpoint_and_identity_survives() {
+    // No fault is armed here, but the armed plan is process-global: a
+    // sibling's frame-drop storm must not run while these frames fly.
+    let _serial = fault::injection_lock().lock().unwrap();
     let batch = batch("unepic");
     let ckpt_dir = std::env::temp_dir().join(format!("mhe-handoff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ckpt_dir);

@@ -76,6 +76,9 @@ fn frontier_request(heuristic: bool) -> FrontierRequest {
 /// `f64` bits) to the in-process batch run, including a warm repeat.
 #[test]
 fn four_concurrent_clients_match_the_batch_frontier_byte_for_byte() {
+    // Serves walks: a sibling's armed fault plan (process-global) must not
+    // fire inside them.
+    let _serial = fault::injection_lock().lock().unwrap();
     let (want_text, want_bits) = batch_reference(&spec_text());
     // max_inflight 2 < 4 clients: two requests queue at the gate, which
     // must delay them, not change or reject them.
@@ -170,6 +173,8 @@ fn injected_panic_is_structured_and_the_session_recovers() {
 /// Liveness and counters over the wire.
 #[test]
 fn ping_and_stats_round_trip() {
+    // Serves a walk: see `four_concurrent_clients_...`.
+    let _serial = fault::injection_lock().lock().unwrap();
     let (addr, drain, handle) = start_daemon(ServiceLimits::default());
     let mut client = Client::builder().addr(addr).connect().expect("connect");
     client.ping().expect("pong");
@@ -204,22 +209,6 @@ fn drain_stops_accepting_and_joins_cleanly() {
         Err(other) => panic!("expected Unavailable, got {other:?}"),
         Ok(_) => panic!("a drained daemon must not accept new connections"),
     }
-}
-
-/// The deprecated thin wrappers (`Client::connect`, `Client::frontier`)
-/// must keep working verbatim until removal — they are the published
-/// pre-subcommand API.
-#[test]
-#[allow(deprecated)]
-fn deprecated_client_wrappers_still_serve_the_same_bytes() {
-    let (want_text, _) = batch_reference(&spec_text());
-    let (addr, drain, handle) = start_daemon(ServiceLimits::default());
-    let mut client = Client::connect(addr).expect("deprecated connect");
-    let report = client.frontier(frontier_request(false)).expect("deprecated frontier");
-    assert_eq!(render_frontier(&report), want_text, "wrapper path changed the answer");
-    drop(client);
-    drain.store(true, std::sync::atomic::Ordering::SeqCst);
-    handle.join().expect("drained serve loop");
 }
 
 /// Version negotiation: a client announcing protocol v1 gets a

@@ -8,8 +8,8 @@
 //! must produce a Pareto frontier and `EvaluationCache` contents
 //! bit-identical to an uninterrupted run, at 1 and 8 worker threads.
 //!
-//! Tests that arm the process-global fault plan serialize on
-//! [`fault::injection_lock`].
+//! Tests that arm the process-global fault plan, and the one that walks
+//! without arming it, serialize on [`fault::injection_lock`].
 
 use mhe::cache::{Penalties, Policy};
 use mhe::core::evaluator::{EvalConfig, ReferenceEvaluation};
@@ -196,6 +196,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn killed_walk_resumes_bit_identical_at_1_and_8_threads() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let space = small_space();
     for threads in [1usize, 8] {
         let eval = tiny_eval(&space, threads);

@@ -2,14 +2,35 @@
 //! (version 1), and a real evaluation + walk records every phase the
 //! report promises.
 //!
-//! The obs level is process-global; the one test that enables it does all
-//! its recording itself and restores `Off` before returning (this file is
-//! its own test binary, so no other test races on the level).
+//! The obs level is process-global; each test that enables it holds
+//! `OBS_LOCK`, does all its recording itself and restores `Off` before
+//! returning (this file is its own test binary, so no other suite races
+//! on the level).
 
 use mhe::obs::{ObsLevel, Phase, PhaseStats, RunReport, Snapshot, REPORT_SCHEMA_VERSION};
 use mhe::prelude::*;
 use mhe::spacewalk::walker;
 use std::io::BufWriter;
+use std::sync::Mutex;
+
+/// Serialises the tests that switch the process-global obs level on.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn small_space() -> SystemSpace {
+    let cache = |sizes_bytes: Vec<u64>, assoc: u32, line: u32| CacheSpace {
+        sizes_bytes,
+        assocs: vec![assoc],
+        line_bytes: vec![line],
+        ports: vec![1],
+        policies: vec![Policy::Lru],
+    };
+    SystemSpace {
+        processors: vec![ProcessorKind::P1111.mdes()],
+        icache: cache(vec![1 << 10, 4 << 10], 1, 32),
+        dcache: cache(vec![1 << 10], 1, 32),
+        ucache: cache(vec![16 << 10], 2, 64),
+    }
+}
 
 /// Golden rendering of a hand-built report: pins field names, order,
 /// number formatting, and the null efficiency of wall-less phases for
@@ -56,33 +77,11 @@ fn json_line_schema_is_golden() {
 
 #[test]
 fn evaluation_and_walk_record_every_promised_phase() {
+    let _lock = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     mhe::obs::set_level(ObsLevel::Json);
     let before = Snapshot::now();
 
-    let space = SystemSpace {
-        processors: vec![ProcessorKind::P1111.mdes()],
-        icache: CacheSpace {
-            sizes_bytes: vec![1 << 10, 4 << 10],
-            assocs: vec![1],
-            line_bytes: vec![32],
-            ports: vec![1],
-            policies: vec![Policy::Lru],
-        },
-        dcache: CacheSpace {
-            sizes_bytes: vec![1 << 10],
-            assocs: vec![1],
-            line_bytes: vec![32],
-            ports: vec![1],
-            policies: vec![Policy::Lru],
-        },
-        ucache: CacheSpace {
-            sizes_bytes: vec![16 << 10],
-            assocs: vec![2],
-            line_bytes: vec![64],
-            ports: vec![1],
-            policies: vec![Policy::Lru],
-        },
-    };
+    let space = small_space();
     let cfg = EvalConfig::builder().events(20_000).build().expect("valid config");
     let eval = walker::prepare_evaluation(
         Benchmark::Unepic.generate(),
@@ -143,4 +142,32 @@ fn evaluation_and_walk_record_every_promised_phase() {
     for p in &recorded {
         assert!(line.contains(&format!("\"phase\":\"{p}\"")), "{line}");
     }
+}
+
+/// A sampled build streams the generator twice (planning, then window
+/// extraction); both passes must show up as trace-generation work.
+#[test]
+fn sampled_evaluation_records_trace_generation() {
+    let _lock = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    mhe::obs::set_level(ObsLevel::Json);
+    let before = Snapshot::now();
+    let cfg = EvalConfig::builder()
+        .events(20_000)
+        .sampling(SamplingConfig { interval_accesses: 4096, clusters: 4, ..Default::default() })
+        .build()
+        .expect("valid config");
+    let eval = walker::prepare_evaluation(
+        Benchmark::Unepic.generate(),
+        &ProcessorKind::P1111.mdes(),
+        cfg,
+        &small_space(),
+    );
+    let report = RunReport::since("obs_report_sampled", cfg.worker_threads(), &before);
+    mhe::obs::set_level(ObsLevel::Off);
+    mhe::obs::reset();
+
+    assert!(eval.metrics().sampling.is_some(), "the build ran through sampling");
+    let trace_gen = report.phases.iter().find(|p| p.phase == Phase::TraceGen.name());
+    let spans = trace_gen.map_or(0, |p| p.spans);
+    assert!(spans >= 1, "sampled walk recorded {spans} trace_gen spans: {:?}", report.phases);
 }

@@ -2,7 +2,7 @@
 //!
 //! The single-pass simulator answers "how many misses at every
 //! associativity" from one pass over the trace — via LRU stack distances,
-//! a FIFO insertion-epoch wavetable, or (for PLRU and random) an embedded
+//! FIFO insertion rings, or (for PLRU and random) an embedded
 //! grid of per-configuration direct simulations. Each of those paths is an
 //! independent re-derivation of the same quantity the direct oracle
 //! [`Cache`] computes by brute force, so any disagreement — on any

@@ -12,6 +12,10 @@
 //! Also covered: admission-gate edge cases (queue-full rejection without
 //! blocking, slot release on panic and on cancellation) and the
 //! version/feature/build triple both services report over `stats`.
+//!
+//! An armed fault plan is process-global, so every test that runs a walk
+//! holds `fault::injection_lock()`: the injected panic must land in the
+//! walk it targets, never in a sibling's.
 
 use mhe::core::evaluator::EvalConfig;
 use mhe::core::fault::{self, Fault, FaultPlan};
@@ -117,6 +121,7 @@ fn read_response(stream: &mut TcpStream) -> Response {
 /// bound trades memory for recompute, never for wrong answers).
 #[test]
 fn session_count_stays_bounded_under_spec_churn() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let service = EvalService::with_config(ServiceConfig {
         max_sessions: Some(2),
         session_ttl: None,
@@ -155,6 +160,7 @@ fn session_count_stays_bounded_under_spec_churn() {
 /// touches the service; the touched session itself is never evicted.
 #[test]
 fn zero_ttl_expires_idle_sessions() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let service = EvalService::with_config(ServiceConfig {
         session_ttl: Some(Duration::ZERO),
         max_sessions: None,
@@ -178,6 +184,7 @@ fn zero_ttl_expires_idle_sessions() {
 /// directory answers the same spec without a single recompute.
 #[test]
 fn persisted_scope_cache_survives_a_service_restart() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let dir = std::env::temp_dir().join(format!("mhe-survive-db-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let text = common::demo_spec_text("unepic", SOAK_EVENTS);
@@ -205,6 +212,7 @@ fn persisted_scope_cache_survives_a_service_restart() {
 /// with `FEATURE_AUTH` announced.
 #[test]
 fn daemon_auth_rejects_bad_tokens_and_serves_good_ones_identically() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let text = common::demo_spec_text("unepic", SOAK_EVENTS);
     let (want_render, want_bits) = batch_reference(&text);
     let (addr, drain, handle) =
@@ -273,6 +281,7 @@ fn open_daemon_stats_report_version_features_and_build() {
 /// every race on every delay fails the test.
 #[test]
 fn cancel_frame_aborts_the_walk_and_the_rerun_is_bit_identical() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let (addr, drain, handle) =
         start_daemon_with(EvalService::new(ServiceLimits { max_inflight: 1, max_queued: 0 }), None);
 
@@ -319,6 +328,7 @@ fn cancel_frame_aborts_the_walk_and_the_rerun_is_bit_identical() {
 /// abandoned sweep is reaped, then gets the exact batch answer.
 #[test]
 fn client_disconnect_cancels_the_sweep_and_frees_the_slot() {
+    let _serial = fault::injection_lock().lock().unwrap();
     let text = common::demo_spec_text("unepic", EVENTS);
     let (want_render, want_bits) = batch_reference(&text);
     let (addr, drain, handle) =

@@ -1,98 +1,96 @@
-//! Differential test: captured-trace replay reproduces the in-memory
-//! evaluation bit for bit.
+//! Differential test: every way of feeding the measurement pipeline
+//! reproduces an independent serial oracle bit for bit.
 //!
-//! For every benchmark, the reference trace is captured to a compact
-//! `.mtr` file and replayed through [`ReferenceEvaluation::replay_file`]
-//! at 1 and 8 worker threads. The replayed evaluation must agree with the
-//! in-memory build exactly — identical measured miss maps and
-//! bit-identical dilated estimates — and the binary capture must be at
-//! least 4x smaller than the equivalent `din` text. A second test checks
-//! the `din` replay path and that the chunk size is invisible to results.
+//! The oracle (`common::Oracle`) collects the generated reference trace
+//! and runs the AHH modelers and one single-pass simulator per family over
+//! it one after another. Each trace source the evaluator accepts — the
+//! generator (`build`), an in-memory stream (`build_from_trace`), and
+//! captured `.mtr` and `din` files (`replay_file`) — must agree with it
+//! exactly at any worker count and chunk size: identical measured miss
+//! maps and bit-identical dilated estimates. The binary capture must also
+//! be at least 4x smaller than the equivalent `din` text.
 
+mod common;
+
+use common::Oracle;
 use mhe::prelude::*;
+use mhe::trace::codec::write_mtr;
+use mhe::trace::io::write_din;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
 
 const EVENTS: usize = 10_000;
 
-fn spaces() -> (Vec<CacheConfig>, Vec<CacheConfig>, Vec<CacheConfig>) {
-    (
+fn grids() -> [Vec<CacheConfig>; 3] {
+    [
         vec![CacheConfig::from_bytes(1024, 1, 32), CacheConfig::from_bytes(16 * 1024, 2, 32)],
         vec![CacheConfig::from_bytes(1024, 1, 32)],
         vec![CacheConfig::from_bytes(16 * 1024, 2, 64)],
-    )
+    ]
 }
 
 fn config(threads: usize, chunk_accesses: usize) -> EvalConfig {
     EvalConfig { events: EVENTS, threads, chunk_accesses, ..EvalConfig::default() }
 }
 
-fn build_in_memory(b: Benchmark) -> ReferenceEvaluation {
-    let (ic, dc, uc) = spaces();
-    ReferenceEvaluation::build(
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("mhe_replay_test_{}_{name}", std::process::id()))
+}
+
+fn build(b: Benchmark, cfg: EvalConfig) -> ReferenceEvaluation {
+    let [ic, dc, uc] = grids();
+    ReferenceEvaluation::build(b.generate(), &ProcessorKind::P1111.mdes(), cfg, &ic, &dc, &uc)
+}
+
+fn build_from_trace(b: Benchmark, cfg: EvalConfig, trace: &[Access]) -> ReferenceEvaluation {
+    let [ic, dc, uc] = grids();
+    ReferenceEvaluation::build_from_trace(
         b.generate(),
         &ProcessorKind::P1111.mdes(),
-        config(1, 1 << 16),
+        cfg,
+        trace.iter().copied(),
         &ic,
         &dc,
         &uc,
     )
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mhe_replay_test_{}_{name}", std::process::id()))
-}
-
-/// The full bit-identity contract: measured maps equal as integers,
-/// estimates equal to the last mantissa bit.
-fn assert_identical(mem: &ReferenceEvaluation, rep: &ReferenceEvaluation, tag: &str) {
-    assert_eq!(mem.imeasured(), rep.imeasured(), "imeasured {tag}");
-    assert_eq!(mem.dmeasured(), rep.dmeasured(), "dmeasured {tag}");
-    assert_eq!(mem.umeasured(), rep.umeasured(), "umeasured {tag}");
-    let (ic, _, uc) = spaces();
-    for d in [1.0, 1.6, 2.0, 3.0] {
-        for &cfg in &ic {
-            let a = mem.estimate_icache_misses(cfg, d).unwrap();
-            let b = rep.estimate_icache_misses(cfg, d).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "icache {cfg} @ d={d} {tag}");
-        }
-        for &cfg in &uc {
-            let a = mem.estimate_ucache_misses(cfg, d).unwrap();
-            let b = rep.estimate_ucache_misses(cfg, d).unwrap();
-            assert_eq!(a.to_bits(), b.to_bits(), "ucache {cfg} @ d={d} {tag}");
-        }
-    }
+fn replay(b: Benchmark, cfg: EvalConfig, path: &PathBuf) -> ReferenceEvaluation {
+    let [ic, dc, uc] = grids();
+    ReferenceEvaluation::replay_file(
+        b.generate(),
+        &ProcessorKind::P1111.mdes(),
+        cfg,
+        path,
+        &ic,
+        &dc,
+        &uc,
+    )
+    .unwrap()
 }
 
 #[test]
 fn mtr_replay_is_bit_identical_for_every_benchmark() {
-    let (ic, dc, uc) = spaces();
     for b in Benchmark::ALL {
         let name = b.name();
-        let mem = build_in_memory(b);
+        let oracle = Oracle::new(&b.generate(), config(1, 1 << 16), &grids());
+        oracle.assert_matches(&build(b, config(1, 1 << 16)), &grids(), &format!("[{name} build]"));
         let path = temp_path(&format!("{}.mtr", name.replace('.', "_")));
-        let stats = mem.capture_mtr(BufWriter::new(File::create(&path).unwrap())).unwrap();
-        assert_eq!(stats.accesses, mem.metrics().trace_len, "{name}: captured whole trace");
+        let stats =
+            write_mtr(BufWriter::new(File::create(&path).unwrap()), oracle.trace.iter().copied())
+                .unwrap();
+        assert_eq!(stats.accesses, oracle.trace.len() as u64, "{name}: captured whole trace");
         assert!(
             stats.compression_ratio() >= 4.0,
             "{name}: .mtr only {:.2}x smaller than din",
             stats.compression_ratio()
         );
         for threads in [1, 8] {
-            let rep = ReferenceEvaluation::replay_file(
-                b.generate(),
-                &ProcessorKind::P1111.mdes(),
-                config(threads, 1 << 16),
-                &path,
-                &ic,
-                &dc,
-                &uc,
-            )
-            .unwrap();
-            assert_identical(&mem, &rep, &format!("[{name} mtr @ {threads} threads]"));
+            let rep = replay(b, config(threads, 1 << 16), &path);
+            oracle.assert_matches(&rep, &grids(), &format!("[{name} mtr @ {threads} threads]"));
             let replay = rep.metrics().replay.expect("file replay records metrics");
-            assert_eq!(replay.accesses, mem.metrics().trace_len, "{name}");
+            assert_eq!(replay.accesses, oracle.trace.len() as u64, "{name}");
             assert_eq!(replay.bytes_read, stats.bytes, "{name}");
             assert!(replay.chunks > 0, "{name}");
             assert!(
@@ -108,28 +106,48 @@ fn mtr_replay_is_bit_identical_for_every_benchmark() {
 #[test]
 fn din_replay_matches_and_chunk_size_is_invisible() {
     let b = Benchmark::Unepic;
-    let mem = build_in_memory(b);
+    let oracle = Oracle::new(&b.generate(), config(1, 1 << 16), &grids());
     let path = temp_path("unepic.din");
-    mem.capture_din(File::create(&path).unwrap()).unwrap();
-    let (ic, dc, uc) = spaces();
+    write_din(File::create(&path).unwrap(), oracle.trace.iter().copied()).unwrap();
     // A prime chunk size exercises ragged frame boundaries; the default
     // must give the same bits.
     for chunk_accesses in [977, 1 << 16] {
-        let rep = ReferenceEvaluation::replay_file(
-            b.generate(),
-            &ProcessorKind::P1111.mdes(),
-            config(2, chunk_accesses),
-            &path,
-            &ic,
-            &dc,
-            &uc,
-        )
-        .unwrap();
-        assert_identical(&mem, &rep, &format!("[din chunk={chunk_accesses}]"));
+        let rep = replay(b, config(2, chunk_accesses), &path);
+        oracle.assert_matches(&rep, &grids(), &format!("[din chunk={chunk_accesses}]"));
         let replay = rep.metrics().replay.expect("file replay records metrics");
         // din is the uncompressed baseline, so its ratio is exactly 1.
         assert_eq!(replay.bytes_read, replay.din_bytes);
-        assert_eq!(replay.accesses, mem.metrics().trace_len);
+        assert_eq!(replay.accesses, oracle.trace.len() as u64);
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn every_source_matches_the_serial_oracle_at_any_threads_and_chunking() {
+    for b in [Benchmark::Unepic, Benchmark::Gcc] {
+        let oracle = Oracle::new(&b.generate(), config(1, 1 << 16), &grids());
+        let mtr = temp_path(&format!("every_{}.mtr", b.name().replace('.', "_")));
+        let din = temp_path(&format!("every_{}.din", b.name().replace('.', "_")));
+        write_mtr(BufWriter::new(File::create(&mtr).unwrap()), oracle.trace.iter().copied())
+            .unwrap();
+        write_din(File::create(&din).unwrap(), oracle.trace.iter().copied()).unwrap();
+        for threads in [1, 2, 8] {
+            for chunk in [977, 1 << 16] {
+                let cfg = config(threads, chunk);
+                let tag = |source: &str| {
+                    format!("[{} {source} @ {threads} threads, chunk {chunk}]", b.name())
+                };
+                oracle.assert_matches(&build(b, cfg), &grids(), &tag("build"));
+                oracle.assert_matches(
+                    &build_from_trace(b, cfg, &oracle.trace),
+                    &grids(),
+                    &tag("stream"),
+                );
+                oracle.assert_matches(&replay(b, cfg, &mtr), &grids(), &tag("mtr"));
+                oracle.assert_matches(&replay(b, cfg, &din), &grids(), &tag("din"));
+            }
+        }
+        std::fs::remove_file(&mtr).ok();
+        std::fs::remove_file(&din).ok();
+    }
 }
