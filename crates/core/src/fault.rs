@@ -728,7 +728,7 @@ mod tests {
 
     #[test]
     fn next_frame_fate_fires_each_scheduled_fault_once() {
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap();
         let _guard = arm(FaultPlan::new(vec![
             Fault::DropFrame { frame: 1 },
             Fault::DelayFrame { frame: 3, millis: 25 },
@@ -742,7 +742,7 @@ mod tests {
 
     #[test]
     fn next_frame_fate_is_deliver_without_an_armed_plan() {
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap();
         for _ in 0..4 {
             assert_eq!(next_frame_fate(), FrameFate::Deliver);
         }

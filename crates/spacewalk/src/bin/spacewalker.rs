@@ -5,7 +5,9 @@
 //! $ spacewalker walk SPEC.txt [--db CACHE.mhec] [--export CACHE.tsv]
 //!               [--heuristic] [--policy LIST] [--sample N[:clusters=K,warmup=W]]
 //!               [--checkpoint DIR] [--resume DIR] [--obs|--obs-json]
-//! $ spacewalker serve ADDR
+//! $ spacewalker serve ADDR [--port-file PATH] [--inflight N] [--queue N]
+//!               [--session-ttl SECS] [--max-sessions N] [--persist DIR]
+//!               [--auth-token TOKEN]
 //! $ spacewalker connect ADDR SPEC.txt [--heuristic] [--policy LIST]
 //!               [--sample ...] [--timeout SECS] [--retries N]
 //! $ spacewalker worker ADDR [--threads N] [--timeout SECS]
@@ -28,9 +30,13 @@
 //!
 //! # Daemon mode
 //!
-//! `serve ADDR` turns the process into a sweep daemon (the same service
-//! `mhe-server` runs): warm sessions, bounded admission, graceful
-//! SIGTERM drain. `connect ADDR SPEC` sends the walk to such a daemon
+//! `serve ADDR` turns the process into the sweep daemon: warm sessions,
+//! bounded admission (`--inflight` walks run, `--queue` more wait, the
+//! rest are rejected), bounded warm state (`--session-ttl`,
+//! `--max-sessions`), evicted scope caches persisted under `--persist`,
+//! and a graceful SIGTERM drain. `--port-file` publishes the bound
+//! address, so `serve 127.0.0.1:0` suits scripts and tests that need an
+//! ephemeral port. `connect ADDR SPEC` sends the walk to such a daemon
 //! and prints the served frontier — byte-identical to the batch output,
 //! because both sides render the same report with the same renderer.
 //! Persistence flags are rejected in connect mode: they belong to the
@@ -72,9 +78,12 @@ use mhe_spacewalk::fleet::{run_worker, Coordinator, FleetConfig, FleetJob, Worke
 use mhe_spacewalk::heuristic::walk_heuristic;
 use mhe_spacewalk::service::proto::{FrontierReport, FrontierRequest};
 use mhe_spacewalk::spec::Spec;
-use mhe_spacewalk::{render_frontier, report_from, walker, Client, EvalService, Server};
+use mhe_spacewalk::{
+    render_frontier, report_from, walker, Client, EvalService, Server, ServiceConfig,
+};
 use mhe_vliw::ProcessorKind;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -82,8 +91,9 @@ const USAGE: &str = "usage:
   spacewalker walk SPEC [--db CACHE.mhec] [--export CACHE.tsv] [--heuristic]
               [--policy LIST] [--sample N[:clusters=K,warmup=W]]
               [--checkpoint DIR] [--resume DIR] [--obs|--obs-json]
-  spacewalker serve ADDR [--session-ttl SECS] [--max-sessions N]
-              [--persist DIR] [--auth-token TOKEN] [--obs|--obs-json]
+  spacewalker serve ADDR [--port-file PATH] [--inflight N] [--queue N]
+              [--session-ttl SECS] [--max-sessions N] [--persist DIR]
+              [--auth-token TOKEN] [--obs|--obs-json]
   spacewalker connect ADDR SPEC [--heuristic] [--policy LIST] [--sample ...]
               [--timeout SECS] [--retries N] [--retry-deadline SECS]
               [--auth-token TOKEN] [--obs|--obs-json]
@@ -138,17 +148,76 @@ fn parse_policy_list(list: &str) -> Result<Vec<mhe_cache::Policy>, String> {
     Ok(parsed)
 }
 
-/// Prints a one-line diagnostic and returns the given exit status.
-fn fail(code: u8, msg: impl std::fmt::Display) -> ExitCode {
-    eprintln!("spacewalker: {msg}");
-    ExitCode::from(code)
-}
-
 /// A typed CLI failure: exit code plus rendered message.
 type CliError = (u8, String);
 
 fn bad(msg: impl std::fmt::Display) -> CliError {
     (EXIT_BAD_CONFIG, msg.to_string())
+}
+
+/// The value after the flag at `args[*i]`; advances `*i` onto it.
+fn flag_value<'a>(args: &'a [String], i: &mut usize) -> Result<&'a str, CliError> {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i).map(String::as_str).ok_or_else(|| bad(format!("{flag} needs a value")))
+}
+
+/// The value after the flag at `args[*i]`, parsed as a `T`.
+fn flag_parse<T: FromStr>(args: &[String], i: &mut usize) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &args[*i];
+    let v = flag_value(args, i)?;
+    v.parse().map_err(|e| bad(format!("{flag} {v:?}: {e}")))
+}
+
+/// Like [`flag_parse`], rejecting zero.
+fn flag_positive<T: FromStr + Default + PartialOrd>(
+    args: &[String],
+    i: &mut usize,
+) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &args[*i];
+    let n: T = flag_parse(args, i)?;
+    if n > T::default() {
+        Ok(n)
+    } else {
+        Err(bad(format!("{flag} must be positive")))
+    }
+}
+
+/// Whole seconds after the flag at `args[*i]`.
+fn flag_secs(args: &[String], i: &mut usize) -> Result<Duration, CliError> {
+    flag_parse(args, i).map(Duration::from_secs)
+}
+
+/// `--auth-token TOKEN`, shared by `serve`, `connect`, `worker` and
+/// `fleet`. An empty token is a configuration error on every side, never
+/// an open port or an empty HMAC key.
+fn flag_auth_token(args: &[String], i: &mut usize) -> Result<String, CliError> {
+    let token = flag_value(args, i)?;
+    if token.is_empty() {
+        return Err(bad("--auth-token must not be empty"));
+    }
+    Ok(token.to_string())
+}
+
+/// Stores a subcommand's one positional argument, rejecting a second.
+fn set_positional<'a>(slot: &mut Option<&'a str>, arg: &'a str) -> Result<(), CliError> {
+    match slot.replace(arg) {
+        Some(_) => Err(bad(format!("unexpected extra argument {arg:?}"))),
+        None => Ok(()),
+    }
+}
+
+/// Publishes a bound address, so scripts can start on port 0.
+fn write_port_file(path: Option<&str>, addr: std::net::SocketAddr) -> Result<(), CliError> {
+    let Some(path) = path else { return Ok(()) };
+    std::fs::write(path, format!("{addr}\n"))
+        .map_err(|e| (EXIT_WORKER_FAILURE, format!("cannot write {path}: {e}")))
 }
 
 /// Options shared by every sweep-shaped subcommand (`walk`, `connect`,
@@ -169,33 +238,27 @@ impl SweepOptions {
     /// it was recognized (and `*i` advanced past any value).
     fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, CliError> {
         let flag = args[*i].as_str();
-        let mut value = |name: &str| -> Result<String, CliError> {
-            *i += 1;
-            args.get(*i).cloned().ok_or_else(|| bad(format!("{name} needs a value")))
-        };
         match flag {
             "--heuristic" => self.heuristic = true,
             "--policy" => {
-                let list = value("--policy")?;
+                let list = flag_value(args, i)?;
                 self.policies =
-                    Some(parse_policy_list(&list).map_err(|e| bad(format!("--policy {e}")))?);
+                    Some(parse_policy_list(list).map_err(|e| bad(format!("--policy {e}")))?);
             }
             "--sample" => {
-                let v = value("--sample")?;
+                let v = flag_value(args, i)?;
                 self.sampling =
-                    Some(parse_sample(&v).map_err(|e| bad(format!("--sample {v:?}: {e}")))?);
+                    Some(parse_sample(v).map_err(|e| bad(format!("--sample {v:?}: {e}")))?);
             }
-            "--db" => self.db_path = Some(value("--db")?),
-            "--export" => self.export_path = Some(value("--export")?),
+            "--db" => self.db_path = Some(flag_value(args, i)?.to_string()),
+            "--export" => self.export_path = Some(flag_value(args, i)?.to_string()),
             "--checkpoint" | "--resume" => {
                 self.resume |= flag == "--resume";
-                let dir = value(flag)?;
-                if let Some(prev) = &self.ckpt_dir {
-                    if *prev != dir {
-                        return Err(bad("--checkpoint and --resume name different directories"));
-                    }
+                let dir = flag_value(args, i)?;
+                if self.ckpt_dir.as_deref().is_some_and(|prev| prev != dir) {
+                    return Err(bad("--checkpoint and --resume name different directories"));
                 }
-                self.ckpt_dir = Some(dir);
+                self.ckpt_dir = Some(dir.to_string());
             }
             "--obs" => mhe_obs::set_level(mhe_obs::ObsLevel::Text),
             "--obs-json" => mhe_obs::set_level(mhe_obs::ObsLevel::Json),
@@ -301,30 +364,17 @@ fn persist(db: &EvaluationCache, opts: &SweepOptions) -> Result<(), CliError> {
 
 // --- subcommands ---------------------------------------------------------
 
-fn cmd_walk(args: &[String]) -> ExitCode {
+fn cmd_walk(args: &[String]) -> Result<(), CliError> {
     let mut opts = SweepOptions::default();
     let mut spec_path = None;
     let mut i = 0;
     while i < args.len() {
-        match opts.take(args, &mut i) {
-            Ok(true) => {}
-            Ok(false) => {
-                let other = args[i].as_str();
-                if spec_path.replace(other.to_string()).is_some() {
-                    return fail(EXIT_BAD_CONFIG, format!("unexpected extra argument {other:?}"));
-                }
-            }
-            Err((code, msg)) => return fail(code, msg),
+        if !opts.take(args, &mut i)? {
+            set_positional(&mut spec_path, &args[i])?;
         }
         i += 1;
     }
-    let Some(spec_path) = spec_path else {
-        return fail(EXIT_BAD_CONFIG, "walk needs a SPEC file");
-    };
-    match run_walk(&spec_path, &opts) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err((code, msg)) => fail(code, msg),
-    }
+    run_walk(spec_path.ok_or_else(|| bad("walk needs a SPEC file"))?, &opts)
 }
 
 fn run_walk(spec_path: &str, opts: &SweepOptions) -> Result<(), CliError> {
@@ -386,402 +436,167 @@ fn run_walk(spec_path: &str, opts: &SweepOptions) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs the sweep daemon on `addr` until a drain signal, exactly like
-/// `mhe-server` with default flags.
-fn cmd_serve(args: &[String]) -> ExitCode {
+/// The daemon's settings, as `serve` flags give them.
+#[derive(Debug, Default)]
+struct ServeArgs {
+    addr: String,
+    port_file: Option<String>,
+    service: ServiceConfig,
+    auth_token: Option<String>,
+    obs: Option<mhe_obs::ObsLevel>,
+}
+
+/// Parses `serve ADDR [FLAGS]` without acting on any flag.
+fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
+    let mut parsed = ServeArgs::default();
     let mut addr = None;
-    let mut opts = SweepOptions::default();
-    let mut service_cfg = mhe_spacewalk::ServiceConfig::default();
-    let mut auth_token: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--session-ttl" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--session-ttl needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => service_cfg.session_ttl = Some(Duration::from_secs(secs)),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--session-ttl {v:?}: {e}")),
-                }
+            "--port-file" => parsed.port_file = Some(flag_value(args, &mut i)?.to_string()),
+            "--inflight" => parsed.service.limits.max_inflight = flag_positive(args, &mut i)?,
+            "--queue" => parsed.service.limits.max_queued = flag_parse(args, &mut i)?,
+            "--session-ttl" => parsed.service.session_ttl = Some(flag_secs(args, &mut i)?),
+            "--max-sessions" => parsed.service.max_sessions = Some(flag_positive(args, &mut i)?),
+            "--persist" => parsed.service.persist_dir = Some(flag_value(args, &mut i)?.into()),
+            "--auth-token" => parsed.auth_token = Some(flag_auth_token(args, &mut i)?),
+            "--obs" => parsed.obs = Some(mhe_obs::ObsLevel::Text),
+            "--obs-json" => parsed.obs = Some(mhe_obs::ObsLevel::Json),
+            "--db" => {
+                return Err(bad("serve persists with --persist DIR (--db names a .mhec file)"))
             }
-            "--max-sessions" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--max-sessions needs a count");
-                };
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => service_cfg.max_sessions = Some(n),
-                    Ok(_) => return fail(EXIT_BAD_CONFIG, "--max-sessions must be positive"),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--max-sessions {v:?}: {e}")),
-                }
+            flag if flag.starts_with('-') => {
+                return Err(bad(format!("serve has no {flag} flag (see spacewalker --help)")))
             }
-            "--persist" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--persist needs a directory");
-                };
-                service_cfg.persist_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--auth-token" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token needs a token");
-                };
-                if v.is_empty() {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token must not be empty");
-                }
-                auth_token = Some(v.clone());
-            }
-            _ => match opts.take(args, &mut i) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if addr.replace(args[i].clone()).is_some() {
-                        return fail(EXIT_BAD_CONFIG, format!("unexpected argument {:?}", args[i]));
-                    }
-                }
-                Err((code, msg)) => return fail(code, msg),
-            },
+            other => set_positional(&mut addr, other)?,
         }
         i += 1;
     }
-    let Some(addr) = addr else {
-        return fail(EXIT_BAD_CONFIG, "serve needs an address (e.g. 127.0.0.1:7199)");
-    };
-    if let Err((code, msg)) =
-        opts.reject_persistence("serve").and_then(|()| reject_sweep_flags(&opts, "serve"))
-    {
-        return fail(code, msg);
-    }
-    serve(&addr, service_cfg, auth_token)
+    parsed.addr = addr.ok_or_else(|| bad("serve needs an address (e.g. 127.0.0.1:7199)"))?.into();
+    Ok(parsed)
 }
 
-fn reject_sweep_flags(opts: &SweepOptions, context: &str) -> Result<(), CliError> {
-    if opts.heuristic || opts.policies.is_some() || opts.sampling.is_some() {
-        return Err(bad(format!("{context} takes no sweep flags (--heuristic/--policy/--sample)")));
+/// Runs the sweep daemon until a SIGTERM/SIGINT drain.
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let ServeArgs { addr, port_file, service, auth_token, obs } = parse_serve_args(args)?;
+    if let Some(level) = obs {
+        mhe_obs::set_level(level);
     }
-    Ok(())
-}
-
-fn serve(
-    addr: &str,
-    service_cfg: mhe_spacewalk::ServiceConfig,
-    auth_token: Option<String>,
-) -> ExitCode {
-    let service = Arc::new(EvalService::with_config(service_cfg));
-    let mut server = match Server::bind(addr, service) {
-        Ok(s) => s,
-        Err(e) => return fail(EXIT_SERVER_UNAVAILABLE, format!("cannot bind {addr}: {e}")),
-    };
+    let limits = service.limits;
+    let mut server = Server::bind(addr.as_str(), Arc::new(EvalService::with_config(service)))
+        .map_err(|e| (EXIT_SERVER_UNAVAILABLE, format!("cannot bind {addr}: {e}")))?;
     if auth_token.is_some() {
         server = server.with_auth_token(auth_token);
     }
     server.install_signal_drain();
-    match server.local_addr() {
-        Ok(a) => eprintln!("spacewalker: serving on {a} (SIGTERM drains)"),
-        Err(e) => return fail(EXIT_SERVER_UNAVAILABLE, format!("local addr: {e}")),
-    }
-    match server.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(EXIT_WORKER_FAILURE, format!("serve loop: {e}")),
-    }
-}
-
-fn cmd_connect(args: &[String]) -> ExitCode {
-    let mut opts = SweepOptions::default();
-    let mut positionals: Vec<String> = Vec::new();
-    let mut timeout = None;
-    let mut retries = 0u32;
-    let mut retry_deadline = None;
-    let mut auth_token: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--timeout" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--timeout needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => timeout = Some(Duration::from_secs(secs)),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--timeout {v:?}: {e}")),
-                }
-            }
-            "--retries" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--retries needs a count");
-                };
-                match v.parse::<u32>() {
-                    Ok(n) => retries = n,
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--retries {v:?}: {e}")),
-                }
-            }
-            "--retry-deadline" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--retry-deadline needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => retry_deadline = Some(Duration::from_secs(secs)),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--retry-deadline {v:?}: {e}")),
-                }
-            }
-            "--auth-token" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token needs a token");
-                };
-                auth_token = Some(v.clone());
-            }
-            _ => match opts.take(args, &mut i) {
-                Ok(true) => {}
-                Ok(false) => positionals.push(args[i].clone()),
-                Err((code, msg)) => return fail(code, msg),
-            },
-        }
-        i += 1;
-    }
-    let [addr, spec_path] = positionals.as_slice() else {
-        return fail(EXIT_BAD_CONFIG, "connect needs ADDR and SPEC");
-    };
-    if let Err((code, msg)) = opts.reject_persistence("connect") {
-        return fail(code, msg);
-    }
-    let loaded = match load_spec(spec_path, &opts) {
-        Ok(l) => l,
-        Err((code, msg)) => return fail(code, msg),
-    };
-    connect(addr, loaded.text, &opts, timeout, retries, retry_deadline, auth_token)
+    let bound =
+        server.local_addr().map_err(|e| (EXIT_SERVER_UNAVAILABLE, format!("local addr: {e}")))?;
+    write_port_file(port_file.as_deref(), bound)?;
+    eprintln!(
+        "spacewalker: serving on {bound} (inflight {}, queue {}; SIGTERM drains)",
+        limits.max_inflight, limits.max_queued
+    );
+    server.run().map_err(|e| (EXIT_WORKER_FAILURE, format!("serve loop: {e}")))
 }
 
 /// Sends the walk to a daemon and prints the served frontier — the same
 /// bytes the batch path prints for the same spec.
-fn connect(
-    addr: &str,
-    spec_text: String,
-    opts: &SweepOptions,
-    timeout: Option<Duration>,
-    retries: u32,
-    retry_deadline: Option<Duration>,
-    auth_token: Option<String>,
-) -> ExitCode {
-    let mut builder = Client::builder().addr(addr).retries(retries);
-    if let Some(t) = timeout {
-        builder = builder.timeout(t);
+fn cmd_connect(args: &[String]) -> Result<(), CliError> {
+    let mut opts = SweepOptions::default();
+    let mut positionals = Vec::new();
+    let mut builder = Client::builder();
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--timeout" => builder = builder.timeout(flag_secs(args, &mut i)?),
+            "--retries" => builder = builder.retries(flag_parse(args, &mut i)?),
+            "--retry-deadline" => builder = builder.retry_deadline(flag_secs(args, &mut i)?),
+            "--auth-token" => builder = builder.auth_token(flag_auth_token(args, &mut i)?),
+            _ => {
+                if !opts.take(args, &mut i)? {
+                    positionals.push(args[i].as_str());
+                }
+            }
+        }
+        i += 1;
     }
-    if let Some(d) = retry_deadline {
-        builder = builder.retry_deadline(d);
-    }
-    if let Some(token) = auth_token {
-        builder = builder.auth_token(token);
-    }
-    let mut client = match builder.connect() {
-        Ok(c) => c,
-        Err(e) => return fail(e.exit_code(), e),
+    let [addr, spec_path] = positionals[..] else {
+        return Err(bad("connect needs ADDR and SPEC"));
     };
-    let request = FrontierRequest {
-        spec_text,
-        heuristic: opts.heuristic,
-        sampling: opts.sampling,
-        policies: opts.policies.clone(),
-    };
-    let report = match client.evaluate(request) {
-        Ok(r) => r,
-        Err(e) => return fail(e.exit_code(), e),
-    };
+    opts.reject_persistence("connect")?;
+    let loaded = load_spec(spec_path, &opts)?;
+    let remote = |e: mhe_spacewalk::ClientError| (e.exit_code(), e.to_string());
+    let mut client = builder.addr(addr).connect().map_err(remote)?;
+    let report = client
+        .evaluate(FrontierRequest {
+            spec_text: loaded.text,
+            heuristic: opts.heuristic,
+            sampling: opts.sampling,
+            policies: opts.policies,
+        })
+        .map_err(remote)?;
     print_report(&report);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_worker(args: &[String]) -> ExitCode {
+fn cmd_worker(args: &[String]) -> Result<(), CliError> {
     let mut addr = None;
     let mut worker = WorkerOptions::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--threads needs a count");
-                };
-                match v.parse::<usize>() {
-                    Ok(n) => worker.threads = Some(n),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--threads {v:?}: {e}")),
-                }
-            }
-            "--timeout" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--timeout needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => worker.reply_timeout = Some(Duration::from_secs(secs)),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--timeout {v:?}: {e}")),
-                }
-            }
-            "--die-after-points" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--die-after-points needs a count");
-                };
-                match v.parse::<u64>() {
-                    Ok(n) => worker.die_after_points = Some(n),
-                    Err(e) => {
-                        return fail(EXIT_BAD_CONFIG, format!("--die-after-points {v:?}: {e}"))
-                    }
-                }
-            }
-            "--redials" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--redials needs a count");
-                };
-                match v.parse::<u32>() {
-                    Ok(n) => worker.redial_retries = n,
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--redials {v:?}: {e}")),
-                }
-            }
-            "--auth-token" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token needs a token");
-                };
-                worker.auth_token = Some(v.clone());
-            }
+            "--threads" => worker.threads = Some(flag_parse(args, &mut i)?),
+            "--timeout" => worker.reply_timeout = Some(flag_secs(args, &mut i)?),
+            "--die-after-points" => worker.die_after_points = Some(flag_parse(args, &mut i)?),
+            "--redials" => worker.redial_retries = flag_parse(args, &mut i)?,
+            "--auth-token" => worker.auth_token = Some(flag_auth_token(args, &mut i)?),
             "--obs" => mhe_obs::set_level(mhe_obs::ObsLevel::Text),
             "--obs-json" => mhe_obs::set_level(mhe_obs::ObsLevel::Json),
-            other => {
-                if addr.replace(other.to_string()).is_some() {
-                    return fail(EXIT_BAD_CONFIG, format!("unexpected argument {other:?}"));
-                }
-            }
+            other => set_positional(&mut addr, other)?,
         }
         i += 1;
     }
-    let Some(addr) = addr else {
-        return fail(EXIT_BAD_CONFIG, "worker needs a coordinator ADDR");
-    };
-    match run_worker(&addr, worker) {
-        Ok(outcome) => {
-            eprintln!(
-                "worker {}: {} shards, {} points evaluated, {} prefilled skipped",
-                outcome.worker_id, outcome.shards, outcome.points, outcome.skipped_prefilled
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => fail(e.exit_code(), e),
-    }
+    let addr = addr.ok_or_else(|| bad("worker needs a coordinator ADDR"))?;
+    let outcome = run_worker(addr, worker).map_err(|e| (e.exit_code(), e.to_string()))?;
+    eprintln!(
+        "worker {}: {} shards, {} points evaluated, {} prefilled skipped",
+        outcome.worker_id, outcome.shards, outcome.points, outcome.skipped_prefilled
+    );
+    Ok(())
 }
 
-fn cmd_fleet(args: &[String]) -> ExitCode {
+fn cmd_fleet(args: &[String]) -> Result<(), CliError> {
     let mut opts = SweepOptions::default();
     let mut spec_path = None;
     let mut workers: Option<u32> = None;
-    let mut bind_addr = "127.0.0.1:0".to_string();
-    let mut port_file: Option<String> = None;
+    let mut bind_addr = "127.0.0.1:0";
+    let mut port_file = None;
     let mut fleet_cfg = FleetConfig::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--workers needs a count");
-                };
-                match v.parse::<u32>() {
-                    Ok(n) => workers = Some(n),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--workers {v:?}: {e}")),
+            "--workers" => workers = Some(flag_parse(args, &mut i)?),
+            "--bind" => bind_addr = flag_value(args, &mut i)?,
+            "--port-file" => port_file = Some(flag_value(args, &mut i)?),
+            "--shards" => fleet_cfg.shard_count = flag_positive(args, &mut i)?,
+            "--lease-timeout" => fleet_cfg.lease_timeout = flag_secs(args, &mut i)?,
+            "--stall-timeout" => fleet_cfg.stall_timeout = flag_secs(args, &mut i)?,
+            "--auth-token" => fleet_cfg.auth_token = Some(flag_auth_token(args, &mut i)?),
+            _ => {
+                if !opts.take(args, &mut i)? {
+                    set_positional(&mut spec_path, &args[i])?;
                 }
             }
-            "--bind" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--bind needs an address");
-                };
-                bind_addr = v.clone();
-            }
-            "--port-file" => {
-                i += 1;
-                port_file = args.get(i).cloned();
-                if port_file.is_none() {
-                    return fail(EXIT_BAD_CONFIG, "--port-file needs a path");
-                }
-            }
-            "--shards" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--shards needs a count");
-                };
-                match v.parse::<u32>() {
-                    Ok(n) if n > 0 => fleet_cfg.shard_count = n,
-                    Ok(_) => return fail(EXIT_BAD_CONFIG, "--shards must be positive"),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--shards {v:?}: {e}")),
-                }
-            }
-            "--lease-timeout" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--lease-timeout needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => fleet_cfg.lease_timeout = Duration::from_secs(secs),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--lease-timeout {v:?}: {e}")),
-                }
-            }
-            "--stall-timeout" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--stall-timeout needs seconds");
-                };
-                match v.parse::<u64>() {
-                    Ok(secs) => fleet_cfg.stall_timeout = Duration::from_secs(secs),
-                    Err(e) => return fail(EXIT_BAD_CONFIG, format!("--stall-timeout {v:?}: {e}")),
-                }
-            }
-            "--auth-token" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token needs a token");
-                };
-                if v.is_empty() {
-                    return fail(EXIT_BAD_CONFIG, "--auth-token must not be empty");
-                }
-                fleet_cfg.auth_token = Some(v.clone());
-            }
-            _ => match opts.take(args, &mut i) {
-                Ok(true) => {}
-                Ok(false) => {
-                    let other = args[i].as_str();
-                    if spec_path.replace(other.to_string()).is_some() {
-                        return fail(
-                            EXIT_BAD_CONFIG,
-                            format!("unexpected extra argument {other:?}"),
-                        );
-                    }
-                }
-                Err((code, msg)) => return fail(code, msg),
-            },
         }
         i += 1;
     }
-    let Some(spec_path) = spec_path else {
-        return fail(EXIT_BAD_CONFIG, "fleet needs a SPEC file");
-    };
-    let Some(workers) = workers else {
-        return fail(EXIT_BAD_CONFIG, "fleet needs --workers N (0 = attach workers manually)");
-    };
+    let spec_path = spec_path.ok_or_else(|| bad("fleet needs a SPEC file"))?;
+    let workers =
+        workers.ok_or_else(|| bad("fleet needs --workers N (0 = attach workers manually)"))?;
     if opts.heuristic {
-        return fail(
-            EXIT_BAD_CONFIG,
-            "fleet has no --heuristic: the fleet prewarms every metric anyway",
-        );
+        return Err(bad("fleet has no --heuristic: the fleet prewarms every metric anyway"));
     }
-    match run_fleet(&spec_path, &opts, workers, &bind_addr, port_file.as_deref(), fleet_cfg) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err((code, msg)) => fail(code, msg),
-    }
+    run_fleet(spec_path, &opts, workers, bind_addr, port_file, fleet_cfg)
 }
 
 fn run_fleet(
@@ -809,10 +624,7 @@ fn run_fleet(
     let addr = coordinator
         .local_addr()
         .map_err(|e| (EXIT_SERVER_UNAVAILABLE, format!("local addr: {e}")))?;
-    if let Some(path) = port_file {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| (EXIT_WORKER_FAILURE, format!("cannot write {path}: {e}")))?;
-    }
+    write_port_file(port_file, addr)?;
     eprintln!("fleet: coordinating on {addr} ({} shards, {} local workers)", shard_count, workers);
 
     let exe = std::env::current_exe()
@@ -876,7 +688,7 @@ fn run_fleet(
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("walk") => cmd_walk(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("connect") => cmd_connect(&args[1..]),
@@ -887,8 +699,110 @@ fn main() -> ExitCode {
             if args.is_empty() {
                 return ExitCode::from(EXIT_BAD_CONFIG);
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        Some(other) => fail(EXIT_BAD_CONFIG, format!("unknown command {other:?}\n{USAGE}")),
+        Some(other) => Err(bad(format!("unknown command {other:?}\n{USAGE}"))),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err((code, msg)) => {
+            eprintln!("spacewalker: {msg}");
+            ExitCode::from(code)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mhe_spacewalk::ServiceLimits;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn serve(args: &[&str]) -> Result<ServeArgs, CliError> {
+        parse_serve_args(&argv(args))
+    }
+
+    #[test]
+    fn serve_defaults_to_open_unbounded_memory_only() {
+        let parsed = serve(&["127.0.0.1:0"]).unwrap();
+        assert_eq!(parsed.addr, "127.0.0.1:0");
+        assert_eq!(parsed.port_file, None);
+        assert_eq!(parsed.service.limits, ServiceLimits { max_inflight: 4, max_queued: 64 });
+        assert_eq!(parsed.service.session_ttl, None);
+        assert_eq!(parsed.service.max_sessions, None);
+        assert_eq!(parsed.service.persist_dir, None);
+        assert_eq!(parsed.auth_token, None);
+        assert_eq!(parsed.obs, None);
+    }
+
+    #[test]
+    fn serve_takes_every_override() {
+        let parsed = serve(&[
+            "--port-file",
+            "daemon.port",
+            "127.0.0.1:7199",
+            "--inflight",
+            "2",
+            "--queue",
+            "0",
+            "--session-ttl",
+            "0",
+            "--max-sessions",
+            "2",
+            "--persist",
+            "daemon-db",
+            "--auth-token",
+            "hunter2",
+            "--obs-json",
+        ])
+        .unwrap();
+        assert_eq!(parsed.addr, "127.0.0.1:7199");
+        assert_eq!(parsed.port_file.as_deref(), Some("daemon.port"));
+        assert_eq!(parsed.service.limits, ServiceLimits { max_inflight: 2, max_queued: 0 });
+        assert_eq!(parsed.service.session_ttl, Some(Duration::ZERO));
+        assert_eq!(parsed.service.max_sessions, Some(2));
+        assert_eq!(parsed.service.persist_dir, Some("daemon-db".into()));
+        assert_eq!(parsed.auth_token.as_deref(), Some("hunter2"));
+        assert_eq!(parsed.obs, Some(mhe_obs::ObsLevel::Json));
+    }
+
+    #[test]
+    fn serve_rejects_bad_flags_as_bad_configuration() {
+        let rejected: [&[&str]; 12] = [
+            &["127.0.0.1:0", "--inflight", "0"],
+            &["127.0.0.1:0", "--queue", "many"],
+            &["127.0.0.1:0", "--max-sessions", "0"],
+            &["127.0.0.1:0", "--session-ttl", "soon"],
+            &["127.0.0.1:0", "--auth-token", ""],
+            &["127.0.0.1:0", "--port-file"],
+            &["127.0.0.1:0", "--frobnicate"],
+            &["127.0.0.1:0", "--db", "cache.mhec"],
+            &["127.0.0.1:0", "--heuristic"],
+            &["127.0.0.1:0", "--addr", "127.0.0.1:1"],
+            &["127.0.0.1:0", "127.0.0.1:1"],
+            &[],
+        ];
+        for args in rejected {
+            let (code, msg) = serve(args).unwrap_err();
+            assert_eq!(code, EXIT_BAD_CONFIG, "{args:?}: {msg}");
+        }
+    }
+
+    #[test]
+    fn every_subcommand_rejects_an_empty_auth_token() {
+        let empty = (EXIT_BAD_CONFIG, "--auth-token must not be empty".to_string());
+        assert_eq!(cmd_serve(&argv(&["127.0.0.1:0", "--auth-token", ""])), Err(empty.clone()));
+        assert_eq!(
+            cmd_connect(&argv(&["127.0.0.1:1", "spec.txt", "--auth-token", ""])),
+            Err(empty.clone())
+        );
+        assert_eq!(cmd_worker(&argv(&["127.0.0.1:1", "--auth-token", ""])), Err(empty.clone()));
+        assert_eq!(
+            cmd_fleet(&argv(&["spec.txt", "--workers", "0", "--auth-token", ""])),
+            Err(empty)
+        );
     }
 }

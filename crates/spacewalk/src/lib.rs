@@ -13,8 +13,8 @@
 //!   evaluation out over worker threads with a deterministic merge;
 //! * [`service`] — the shared `Send + Sync` evaluation service (warm
 //!   sessions, scope-shared caches, admission control) plus the daemon
-//!   wire protocol, server loop, and client used by `mhe-server` and
-//!   `spacewalker serve`/`connect`;
+//!   wire protocol, server loop, and client behind `spacewalker
+//!   serve`/`connect`;
 //! * [`fleet`] — the distributed walk: deterministic shard partition,
 //!   coordinator with work-stealing leases and checkpointed merges, and
 //!   the worker loop behind `spacewalker fleet`/`worker`.

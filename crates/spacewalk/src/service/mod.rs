@@ -1,7 +1,7 @@
 //! The shared evaluation service: warm sessions behind one `Send + Sync`
 //! core.
 //!
-//! Batch runs, the `mhe-server` daemon, and `spacewalker --connect` all
+//! Batch runs, the `spacewalker serve` daemon, and `spacewalker connect` all
 //! answer frontier queries through this module, so a served result is the
 //! *same computation* as an in-process run — not a reimplementation that
 //! merely agrees. The service owns what per-run plumbing used to rebuild
@@ -65,18 +65,16 @@ pub struct ServiceLimits {
 }
 
 impl Default for ServiceLimits {
-    /// Defaults from `MHE_SERVER_INFLIGHT` (4) and `MHE_SERVER_QUEUE`
-    /// (64).
+    /// Four concurrent walks with 64 more queued behind them (the
+    /// `spacewalker serve` defaults for `--inflight` and `--queue`).
     fn default() -> Self {
-        ServiceLimits {
-            max_inflight: mhe_core::env::server_inflight_or(4).max(1),
-            max_queued: mhe_core::env::server_queue_or(64),
-        }
+        ServiceLimits { max_inflight: 4, max_queued: 64 }
     }
 }
 
-/// Full configuration for an [`EvalService`].
-#[derive(Debug, Clone)]
+/// Full configuration for an [`EvalService`]. The default keeps every
+/// session forever, in memory only, behind [`ServiceLimits::default`].
+#[derive(Debug, Clone, Default)]
 pub struct ServiceConfig {
     /// Admission-control bounds.
     pub limits: ServiceLimits,
@@ -92,19 +90,6 @@ pub struct ServiceConfig {
     /// scope's evaluations reload from here, so a restarted daemon
     /// answers warm.
     pub persist_dir: Option<PathBuf>,
-}
-
-impl Default for ServiceConfig {
-    /// Defaults from `MHE_SESSION_TTL` and `MHE_MAX_SESSIONS` (both
-    /// unbounded when unset); persistence stays off without `--db`.
-    fn default() -> Self {
-        ServiceConfig {
-            limits: ServiceLimits::default(),
-            session_ttl: mhe_core::env::session_ttl(),
-            max_sessions: mhe_core::env::max_sessions(),
-            persist_dir: None,
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -261,8 +246,8 @@ fn fnv64(s: &str) -> u64 {
 }
 
 impl EvalService {
-    /// A service enforcing `limits`, with TTL/eviction/persistence from
-    /// the environment defaults (see [`ServiceConfig::default`]).
+    /// A service enforcing `limits`, with no session TTL, no session cap
+    /// and no persistence (see [`ServiceConfig::default`]).
     pub fn new(limits: ServiceLimits) -> Self {
         EvalService::with_config(ServiceConfig { limits, ..ServiceConfig::default() })
     }

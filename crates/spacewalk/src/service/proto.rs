@@ -218,7 +218,7 @@ impl Handshake {
         if h[..4] != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("bad handshake magic {:02x?} (not an mhe-server?)", &h[..4]),
+                format!("bad handshake magic {:02x?} (not an mhe endpoint?)", &h[..4]),
             ));
         }
         Ok(Self {
@@ -1315,6 +1315,9 @@ mod tests {
                 Ok(1)
             }
         }
+        // `write_frame` consults the process-wide fault plan a sibling
+        // test arms, so hold its lock while writing.
+        let _lock = mhe_core::fault::injection_lock().lock().unwrap();
         let payload = encode_request(&Request::Ping);
         let mut bytes = Vec::new();
         write_frame(&mut bytes, &payload).unwrap();
@@ -1329,7 +1332,7 @@ mod tests {
     #[test]
     fn armed_frame_faults_shape_the_byte_stream() {
         use mhe_core::fault::{arm, injection_lock, Fault, FaultPlan};
-        let _lock = injection_lock();
+        let _lock = injection_lock().lock().unwrap();
         let payload = encode_request(&Request::Ping);
         let mut framed = Vec::new();
         write_frame_raw(&mut framed, &payload).unwrap();

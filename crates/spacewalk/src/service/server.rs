@@ -281,7 +281,7 @@ fn serve_frontier(
             let response = service.respond_with_cancel(request, Some(worker_cancel));
             if mhe_obs::enabled() {
                 mhe_obs::RunReport::since(
-                    "mhe-server",
+                    "spacewalker-serve",
                     mhe_core::parallel::worker_threads(),
                     &before,
                 )

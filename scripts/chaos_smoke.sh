@@ -17,19 +17,16 @@
 #      mid-sweep, a standby rebinds the same port with --resume over the
 #      shared checkpoint, and a fresh worker finishes the sweep.
 #
-# Usage: chaos_smoke.sh [SPACEWALKER_BIN] [SERVER_BIN]
-# Defaults to the release binaries (built by scripts/ci.sh).
+# Usage: chaos_smoke.sh [SPACEWALKER_BIN]
+# Defaults to the release binary (built by scripts/ci.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BIN="${1:-target/release/spacewalker}"
-SERVER="${2:-target/release/mhe-server}"
-for b in "$BIN" "$SERVER"; do
-    if [[ ! -x "$b" ]]; then
-        echo "chaos_smoke: $b not built" >&2
-        exit 1
-    fi
-done
+if [[ ! -x "$BIN" ]]; then
+    echo "chaos_smoke: $BIN not built" >&2
+    exit 1
+fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/mhe_chaos_smoke.XXXXXX")"
 DAEMON_PID=""
@@ -92,7 +89,7 @@ echo "==> single-process batch baseline"
 
 # ---------------------------------------------------------------- auth
 echo "==> drill 1: auth gate (bad tokens out with exit 6, good token identical)"
-"$SERVER" --port-file "$WORK/auth_port" --auth-token hunter2 \
+"$BIN" serve 127.0.0.1:0 --port-file "$WORK/auth_port" --auth-token hunter2 \
     > /dev/null 2> "$WORK/auth_daemon.log" &
 DAEMON_PID=$!
 wait_port "$WORK/auth_port" "$DAEMON_PID" "tokened daemon"
@@ -130,7 +127,7 @@ DAEMON_PID=""
 
 # ------------------------------------------- disconnect cancellation
 echo "==> drill 2: SIGKILL a client mid-request; the slot must free"
-"$SERVER" --port-file "$WORK/cancel_port" --inflight 1 --queue 0 \
+"$BIN" serve 127.0.0.1:0 --port-file "$WORK/cancel_port" --inflight 1 --queue 0 \
     > /dev/null 2> "$WORK/cancel_daemon.log" &
 DAEMON_PID=$!
 wait_port "$WORK/cancel_port" "$DAEMON_PID" "single-slot daemon"

@@ -1,23 +1,20 @@
 #!/usr/bin/env bash
-# Daemon smoke test: start mhe-server on an ephemeral port, run a short
+# Daemon smoke test: start `spacewalker serve` on an ephemeral port, run a short
 # heuristic walk through `spacewalker connect`, and require the served
 # frontier to be byte-identical to the in-process batch run — cold, on a
 # warm repeat, and on a daemon restarted with fault injection + retries.
 # SIGTERM must drain each daemon to a clean exit 0.
 #
-# Usage: daemon_smoke.sh [SPACEWALKER_BIN [SERVER_BIN]]
-# Defaults to target/release/{spacewalker,mhe-server} (built by ci.sh).
+# Usage: daemon_smoke.sh [SPACEWALKER_BIN]
+# Defaults to target/release/spacewalker (built by ci.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WALKER="${1:-target/release/spacewalker}"
-SERVER="${2:-target/release/mhe-server}"
-for bin in "$WALKER" "$SERVER"; do
-    if [[ ! -x "$bin" ]]; then
-        echo "daemon_smoke: $bin not built" >&2
-        exit 1
-    fi
-done
+if [[ ! -x "$WALKER" ]]; then
+    echo "daemon_smoke: $WALKER not built" >&2
+    exit 1
+fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/mhe_daemon_smoke.XXXXXX")"
 SERVER_PID=""
@@ -61,7 +58,7 @@ EOF
 # Extra NAME=VALUE arguments become the daemon's environment.
 start_daemon() {
     rm -f "$WORK/port"
-    env "$@" "$SERVER" --addr 127.0.0.1:0 --port-file "$WORK/port" \
+    env "$@" "$WALKER" serve 127.0.0.1:0 --port-file "$WORK/port" \
         >> "$WORK/server.log" 2>&1 &
     SERVER_PID=$!
     for _ in $(seq 1 100); do

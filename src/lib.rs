@@ -16,7 +16,6 @@
 //! | [`core`] | `mhe-core` | **the dilation model** and hierarchical evaluation |
 //! | [`sampling`] | `mhe-sampling` | interval sampling: signatures, clustering, sampled simulation |
 //! | [`spacewalk`] | `mhe-spacewalk` | Pareto sets, cost models, design-space walkers, the shared evaluation service |
-//! | [`server`] | `mhe-server` | the sweep daemon wrapping the service for `spacewalker --connect` |
 //! | [`obs`] | `mhe-obs` | zero-dependency observability: phase timers, counters, run reports |
 //!
 //! For applications, `use mhe::prelude::*;` imports the common working
@@ -65,7 +64,6 @@ pub use mhe_core as core;
 pub use mhe_model as model;
 pub use mhe_obs as obs;
 pub use mhe_sampling as sampling;
-pub use mhe_server as server;
 pub use mhe_spacewalk as spacewalk;
 pub use mhe_trace as trace;
 pub use mhe_vliw as vliw;
